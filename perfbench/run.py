@@ -64,15 +64,19 @@ def smoke(binary):
                 problems.append(f"metrics differ: missing {sorted(set(want) - set(got))}, "
                                 f"extra {sorted(set(got) - set(want))}, units "
                                 f"{sorted(k for k in want if k in got and got[k] != want[k])}")
+            # failed counts phases still late after their re-runs too.
             if not result["correct"] or result["failed"] != 0:
                 problems.append(f"correct={result['correct']} failed={result['failed']}")
+            reruns = {k: v["reruns"] for k, v in info.items()
+                      if isinstance(v, dict) and v.get("reruns", 0) > 0}
             if trace == 1:
                 accounted = result["metrics"]["trace.prune_accounted"]["value"]
                 if abs(accounted - 1.0) > 0.05:
                     problems.append(f"layer spans cover {accounted:.3f} of the prune loop")
             status = "ok" if not problems else "FAIL " + "; ".join(problems)
             print(f"smoke {workload} trace={trace}: {status} (host {info['host']}, "
-                  f"nproc {info['nproc']}, attempted {result['attempted']})", flush=True)
+                  f"nproc {info['nproc']}, attempted {result['attempted']}, "
+                  f"late phases re-run {reruns or 'none'})", flush=True)
             ok = ok and not problems
     return ok
 
@@ -92,10 +96,11 @@ def main():
         binary = build()
         if args.smoke:
             return 0 if smoke(binary) else 1
-        result, _ = run_once(binary, args.workload, args.seed, args.seconds, args.trace)
+        result, info = run_once(binary, args.workload, args.seed, args.seconds, args.trace)
     except (subprocess.CalledProcessError, OSError, ValueError, IndexError, KeyError) as e:
         print(f"perfbench: {e}", file=sys.stderr)
         return 1
+    print(json.dumps({"perfbench_info": info}))
     print(json.dumps(result))
     return 0
 

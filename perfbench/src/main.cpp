@@ -7,9 +7,9 @@
 //            (prune_reps times, each must give the same weights), then
 //   set-up   rebuild + session compile + server start + warm-up of the
 //            pruned model (setup_reps times), then
-//   serve    open-loop phases at the workload's light and heavy rates and
-//            a goodput ladder, every response checked bitwise against a
-//            batch-1 run_ref of its sample.
+//   serve    open-loop phases at the workload's light and heavy rates
+//            (and, traced, a goodput staircase), every response checked
+//            bitwise against a batch-1 run_ref of its sample.
 //
 // --trace 0 prints the end-to-end metrics; --trace 1 replays the prune
 // loop and profiles the plan, its kernels and the request path from
@@ -104,7 +104,7 @@ const std::vector<Workload>& workloads() {
        .train_per_class = 64, .test_per_class = 50, .noise = 1.25f, .jitter = 1.0f,
        .data_seed = 11, .base_epochs = 4, .prune_fraction = 0.1f,
        .prune_iterations = 4, .finetune_epochs = 1, .light_qps = 1000, .heavy_qps = 2000,
-       .ladder_lo_qps = 1000, .ladder_hi_qps = 12000, .p99_limit_us = 10000},
+       .ladder_lo_qps = 2000, .ladder_hi_qps = 16000, .p99_limit_us = 50000},
   };
   return all;
 }
@@ -114,12 +114,7 @@ constexpr int kWorkers = 2;     // server workers; + 1 generator thread
 constexpr size_t kMaxBatch = 8;
 constexpr int64_t kLingerUs = 200;
 constexpr size_t kQueue = 256;
-constexpr int kSearches = 3;         // goodput binary searches per run
-constexpr int kProbesPerSearch = 7;  // ~log2(ladder rungs) + 1
 constexpr int kRounds = 3;
-/// A phase whose generator ran later than this at p99 is invalid and is
-/// run again (at most twice).
-constexpr double kLateBoundUs = 1000.0;
 
 struct Options {
   std::string workload;
@@ -164,10 +159,13 @@ struct Ledger {
     if (!ok) ++failed;
     if (wrong_output) outputs_correct = false;
   }
+  /// A phase's requests, each shed, failed or wrong one a failure, plus
+  /// one operation for the phase itself that fails when it ran late.
   void phase(const PhaseResult& p) {
     attempted += p.sent;
     failed += p.misses();
     if (p.mismatched > 0) outputs_correct = false;
+    op(p.on_time());
   }
 };
 
@@ -315,32 +313,29 @@ Serving set_up_serving(const Workload& w, const std::map<std::string, Tensor>& p
   return s;
 }
 
-/// Runs a phase, re-running it (at most twice) while the generator ran
-/// late beyond kLateBoundUs at p99. Returns the last attempt and whether
-/// it was valid.
-std::pair<PhaseResult, bool> valid_phase(serve::InferenceServer& server, const RequestPool& pool,
-                                         double rate, double seconds, size_t& offset,
-                                         bool traced) {
-  PhaseResult p;
-  for (int attempt = 0; attempt < 3; ++attempt) {
-    p = run_phase(server, pool, rate, seconds, offset, traced);
-    offset += static_cast<size_t>(p.sent);
-    if (p.late_p99_us <= kLateBoundUs) return {std::move(p), true};
-  }
-  return {std::move(p), false};
+std::string json_list(const std::vector<double>& v) {
+  std::string out = "[";
+  for (size_t i = 0; i < v.size(); ++i) out += (i ? ", " : "") + json_number(v[i]);
+  return out + "]";
 }
 
-std::string phase_info(const std::string& name, const PhaseResult& p, bool valid) {
+/// `late_phases` counts the phases merged into `p` that stayed late
+/// after kMaxAttempts runs; the result counts each as a failure.
+std::string phase_info(const std::string& name, const PhaseResult& p, int late_phases) {
   return json_string(name) + ": {\"rate_qps\": " + json_number(p.rate_qps) +
          ", \"sent\": " + std::to_string(p.sent) + ", \"served\": " +
          std::to_string(p.served) + ", \"shed\": " + std::to_string(p.shed) +
-         ", \"failed\": " + std::to_string(p.failed) + ", \"mismatched\": " +
+         ", \"failed\": " + std::to_string(p.failed) + ", \"timed_out\": " +
+         std::to_string(p.stats.timed_out) + ", \"errored\": " +
+         std::to_string(p.stats.errored) + ", \"mismatched\": " +
          std::to_string(p.mismatched) + ", \"windows\": " + std::to_string(p.windows()) +
          ", \"beyond_p99_per_window\": " + std::to_string(p.beyond(0.99)) +
          ", \"p90_us\": " + json_number(p.windowed_percentile_us(0.90)) +
          ", \"p99_us\": " + json_number(p.windowed_percentile_us(0.99)) +
-         ", \"late_p99_us\": " + json_number(p.late_p99_us) + ", \"late_max_us\": " +
-         json_number(p.late_max_us) + ", \"valid\": " + (valid ? "true" : "false") + "}";
+         ", \"reruns\": " + std::to_string(p.reruns) + ", \"late_window_p99_us\": " +
+         json_number(p.late_window_p99_us()) + ", \"late_p99_us\": " +
+         json_number(p.late_p99_us()) + ", \"late_max_us\": " + json_number(p.late_max_us()) +
+         ", \"late_phases\": " + std::to_string(late_phases) + "}";
 }
 
 double phase_seconds(double share, double seconds, double rate) {
@@ -350,21 +345,22 @@ double phase_seconds(double share, double seconds, double rate) {
 
 struct Rates {
   PhaseResult light, heavy;
-  bool valid = true;
+  int late_light = 0, late_heavy = 0;  // rounds still late after kMaxAttempts runs
 };
 
 /// The light and heavy phases interleaved over kRounds rounds sharing
 /// `share` of the run, so that a slow stretch of the host lands in one
 /// round of each rate rather than in all of one rate.
 Rates run_rounds(serve::InferenceServer& server, const RequestPool& pool, const Workload& w,
-                 double share, double seconds, size_t& offset) {
+                 double share, double seconds, size_t& offset, Ledger& ledger) {
   Rates r;
   for (int round = 0; round < kRounds; ++round) {
     for (const bool heavy : {false, true}) {
       const double rate = heavy ? w.heavy_qps : w.light_qps;
-      auto [p, ok] = valid_phase(server, pool, rate,
-                                 phase_seconds(share / 2 / kRounds, seconds, rate), offset, false);
-      r.valid = r.valid && ok;
+      PhaseResult p = run_phase(server, pool, rate,
+                                phase_seconds(share / 2 / kRounds, seconds, rate), offset, false);
+      ledger.phase(p);
+      if (!p.on_time()) ++(heavy ? r.late_heavy : r.late_light);
       PhaseResult& into = heavy ? r.heavy : r.light;
       if (round == 0) {
         into = std::move(p);
@@ -415,39 +411,28 @@ int run(const Options& opt) {
   info.push_back("\"prune\": {\"iterations\": " + std::to_string(pr->iterations_run) +
                  ", \"filters_removed\": " + std::to_string(pr->filters_removed) +
                  ", \"base_accuracy\": " + json_number(pr->original_accuracy) +
+                 ", \"runs_s\": " + json_list(prune_runs_s) +
                  ", \"stop_reason\": " + json_string(pr->stop_reason) + "}");
 
   Serving sv = set_up_serving(w, pruned, base.data.test);
   sv.pool = make_pool(*sv.session, base.data.test, opt.seed);
+  info.push_back("\"setup\": {\"base_s\": " + json_list(base.total_s) +
+                 ", \"serving_s\": " + json_list(sv.setup_s) + "}");
   size_t offset = 0;
 
   if (!opt.trace) {
-    const Rates rates = run_rounds(*sv.server, sv.pool, w, 0.6, opt.seconds, offset);
+    const Rates rates = run_rounds(*sv.server, sv.pool, w, 1.0, opt.seconds, offset, ledger);
     const PhaseResult& light = rates.light;
     const PhaseResult& heavy = rates.heavy;
-    ledger.phase(light);
-    ledger.phase(heavy);
-    const Goodput g = find_goodput(*sv.server, sv.pool, w.ladder_lo_qps, w.ladder_hi_qps,
-                                   w.p99_limit_us,
-                                   0.4 * opt.seconds / (kSearches * kProbesPerSearch), kSearches,
-                                   offset);
-    ledger.attempted += g.sent;
-    ledger.failed += g.mismatched;
-    if (g.mismatched > 0) ledger.outputs_correct = false;
-
     m.set("p50_us.light", light.windowed_percentile_us(0.50), "us");
     m.set("p50_us.heavy", heavy.windowed_percentile_us(0.50), "us");
     m.set("p90_us.heavy", heavy.windowed_percentile_us(0.90), "us");
-    m.set("goodput_qps", g.qps, "1/s");
     m.set("setup_s", median(base.total_s) + median(sv.setup_s), "s");
     m.set("prune_s", prune_s, "s");
     m.set("accuracy", pr->final_accuracy, "ratio");
     m.set("flops_reduction", pr->report.flops_reduction(), "ratio");
-    info.push_back(phase_info("light", light, rates.valid));
-    info.push_back(phase_info("heavy", heavy, rates.valid));
-    info.push_back("\"goodput\": {\"probes\": " + std::to_string(g.probes) +
-                   ", \"sent\": " + std::to_string(g.sent) +
-                   ", \"p99_limit_us\": " + json_number(w.p99_limit_us) + "}");
+    info.push_back(phase_info("light", light, rates.late_light));
+    info.push_back(phase_info("heavy", heavy, rates.late_heavy));
   } else {
     // The traced replay must reproduce the untraced run's weights.
     nn::Model replay = load_model(w, base.base_weights, false);
@@ -462,13 +447,20 @@ int run(const Options& opt) {
     // Request path: untraced then traced light phase (tracing overhead),
     // traced heavy phase.
     const double phase_s = phase_seconds(0.2, opt.seconds, w.light_qps);
-    auto [plain, plain_ok] =
-        valid_phase(*sv.server, sv.pool, w.light_qps, phase_s, offset, false);
-    auto [light, light_ok] =
-        valid_phase(*sv.server, sv.pool, w.light_qps, phase_s, offset, true);
-    auto [heavy, heavy_ok] = valid_phase(*sv.server, sv.pool, w.heavy_qps,
-                                         phase_seconds(0.2, opt.seconds, w.heavy_qps), offset,
-                                         true);
+    const PhaseResult plain = run_phase(*sv.server, sv.pool, w.light_qps, phase_s, offset, false);
+    const PhaseResult light = run_phase(*sv.server, sv.pool, w.light_qps, phase_s, offset, true);
+    const PhaseResult heavy = run_phase(*sv.server, sv.pool, w.heavy_qps,
+                                        phase_seconds(0.2, opt.seconds, w.heavy_qps), offset,
+                                        true);
+    // Goodput: the staircase takes the other 40% of the run. Requests
+    // shed while probing above capacity are expected; wrong outputs, and
+    // probes still late after their re-runs, fail.
+    const double probe_s = opt.seconds / 100;
+    const Goodput g = find_goodput(*sv.server, sv.pool, w.ladder_lo_qps, w.ladder_hi_qps,
+                                   w.p99_limit_us, probe_s, 0.4 * opt.seconds, offset);
+    ledger.attempted += g.sent + g.probes;
+    ledger.failed += g.mismatched + g.late;
+    if (g.mismatched > 0) ledger.outputs_correct = false;
     ledger.phase(plain);
     ledger.phase(light);
     ledger.phase(heavy);
@@ -518,11 +510,7 @@ int run(const Options& opt) {
                   : 0.0,
           "count");
     m.set("serve.batches", static_cast<double>(batches), "count");
-    m.set("serve.shed", static_cast<double>(light.stats.rejected + heavy.stats.rejected), "count");
-    m.set("serve.timed_out", static_cast<double>(light.stats.timed_out + heavy.stats.timed_out),
-          "count");
-    m.set("serve.errored", static_cast<double>(light.stats.errored + heavy.stats.errored),
-          "count");
+    m.set("serve.goodput_qps", g.qps, "1/s");
     m.set("compile.run_us.b1", pp.run_us[1], "us");
     m.set("compile.run_us.b8", pp.run_us[8], "us");
     m.set("compile.gflops.b8", pp.flops_per_image * 8.0 / (pp.run_us[8] * 1e3), "GFLOP/s");
@@ -548,14 +536,20 @@ int run(const Options& opt) {
     m.set("nn.evaluate_s", lp.evaluate_s, "s");
     m.set("nn.base_train_s", median(base.train_s), "s");
     m.set("data.generate_s", median(base.generate_s), "s");
-    m.set("trace.overhead.prune", lp.total_s / prune_s - 1.0, "ratio");
-    m.set("trace.overhead.p50_light",
-          light.windowed_percentile_us(0.50) / plain.windowed_percentile_us(0.50) - 1.0,
-          "ratio");
+    m.set("trace.traced_per_untraced.prune", lp.total_s / prune_s, "ratio");
+    m.set("trace.traced_per_untraced.p50_light",
+          light.windowed_percentile_us(0.50) / plain.windowed_percentile_us(0.50), "ratio");
     m.set("trace.prune_accounted", lp.layer_sum_s() / lp.total_s, "ratio");
-    info.push_back(phase_info("light_untraced", plain, plain_ok));
-    info.push_back(phase_info("light", light, light_ok));
-    info.push_back(phase_info("heavy", heavy, heavy_ok));
+    info.push_back(phase_info("light_untraced", plain, plain.on_time() ? 0 : 1));
+    info.push_back(phase_info("light", light, light.on_time() ? 0 : 1));
+    info.push_back(phase_info("heavy", heavy, heavy.on_time() ? 0 : 1));
+    info.push_back("\"goodput\": {\"probes\": " + std::to_string(g.probes) +
+                   ", \"reruns\": " + std::to_string(g.reruns) +
+                   ", \"late_probes\": " + std::to_string(g.late) +
+                   ", \"probe_s\": " + json_number(probe_s) +
+                   ", \"staircase\": " + json_string(g.steps) +
+                   ", \"sent\": " + std::to_string(g.sent) +
+                   ", \"p99_limit_us\": " + json_number(w.p99_limit_us) + "}");
   }
 
   char host[256] = {};

@@ -40,56 +40,8 @@ capr::serve::ServerStats minus(const capr::serve::ServerStats& a,
   return d;
 }
 
-}  // namespace
-
-void PhaseResult::append(const PhaseResult& later) {
-  const auto merge = [](std::vector<double>& into, const std::vector<double>& from) {
-    const auto mid = static_cast<std::ptrdiff_t>(into.size());
-    into.insert(into.end(), from.begin(), from.end());
-    std::inplace_merge(into.begin(), into.begin() + mid, into.end());
-  };
-  sent += later.sent;
-  shed += later.shed;
-  failed += later.failed;
-  mismatched += later.mismatched;
-  served += later.served;
-  merge(server_us, later.server_us);
-  merge(submit_us, later.submit_us);
-  by_request_us.insert(by_request_us.end(), later.by_request_us.begin(),
-                       later.by_request_us.end());
-  late_p99_us = std::max(late_p99_us, later.late_p99_us);
-  late_max_us = std::max(late_max_us, later.late_max_us);
-  backlog_at_end = std::max(backlog_at_end, later.backlog_at_end);
-  stats.submitted += later.stats.submitted;
-  stats.rejected += later.stats.rejected;
-  stats.completed += later.stats.completed;
-  stats.timed_out += later.stats.timed_out;
-  stats.errored += later.stats.errored;
-  stats.unknown_model += later.stats.unknown_model;
-  stats.batches += later.stats.batches;
-  stats.batched_samples += later.stats.batched_samples;
-}
-
-double PhaseResult::windowed_percentile_us(double q) const {
-  const int64_t n = windows();
-  const int64_t size = sent / n;
-  std::vector<double> per_window;
-  for (int64_t w = 0; w < n; ++w) {
-    const auto first = by_request_us.begin() + w * size;
-    std::vector<double> win(first, w + 1 == n ? by_request_us.end() : first + size);
-    std::sort(win.begin(), win.end());
-    per_window.push_back(nearest_rank(win, q));
-  }
-  return median(std::move(per_window));
-}
-
-int64_t PhaseResult::beyond(double q) const {
-  const int64_t size = sent / windows();
-  return size - static_cast<int64_t>(std::ceil(q * static_cast<double>(size)));
-}
-
-PhaseResult run_phase(capr::serve::InferenceServer& server, const RequestPool& pool,
-                      double rate_qps, double seconds, size_t offset, bool traced) {
+PhaseResult run_once(capr::serve::InferenceServer& server, const RequestPool& pool,
+                     double rate_qps, double seconds, size_t offset, bool traced) {
   PhaseResult r;
   r.rate_qps = rate_qps;
   const int64_t n = std::max<int64_t>(1, std::llround(rate_qps * seconds));
@@ -99,7 +51,7 @@ PhaseResult run_phase(capr::serve::InferenceServer& server, const RequestPool& p
   };
   std::vector<std::optional<std::future<InferResult>>> futs(static_cast<size_t>(n));
   std::vector<uint32_t> which(static_cast<size_t>(n));
-  std::vector<double> late_us(static_cast<size_t>(n));
+  r.late_us.resize(static_cast<size_t>(n));
   if (traced) r.submit_us.reserve(static_cast<size_t>(n));
   const capr::serve::ServerStats before = server.stats();
 
@@ -112,7 +64,7 @@ PhaseResult run_phase(capr::serve::InferenceServer& server, const RequestPool& p
     const Clock::time_point call = Clock::now();
     futs[at] = server.try_submit(std::move(sample));
     if (traced) r.submit_us.push_back(us_between(call, Clock::now()));
-    late_us[at] = us_between(due, call);
+    r.late_us[at] = us_between(due, call);
   }
   r.sent = n;
 
@@ -135,7 +87,7 @@ PhaseResult run_phase(capr::serve::InferenceServer& server, const RequestPool& p
       ++r.mismatched;
       continue;
     }
-    const double lat = late_us[at] + static_cast<double>(res.latency_us);
+    const double lat = r.late_us[at] + static_cast<double>(res.latency_us);
     r.by_request_us[at] = lat;
     ++r.served;
     r.server_us.push_back(static_cast<double>(res.latency_us));
@@ -145,43 +97,130 @@ PhaseResult run_phase(capr::serve::InferenceServer& server, const RequestPool& p
   r.stats = minus(server.stats(), before);
   std::sort(r.server_us.begin(), r.server_us.end());
   std::sort(r.submit_us.begin(), r.submit_us.end());
-  std::sort(late_us.begin(), late_us.end());
-  r.late_p99_us = nearest_rank(late_us, 0.99);
-  r.late_max_us = late_us.back();
   return r;
+}
+
+}  // namespace
+
+void PhaseResult::append(const PhaseResult& later) {
+  const auto merge = [](std::vector<double>& into, const std::vector<double>& from) {
+    const auto mid = static_cast<std::ptrdiff_t>(into.size());
+    into.insert(into.end(), from.begin(), from.end());
+    std::inplace_merge(into.begin(), into.begin() + mid, into.end());
+  };
+  sent += later.sent;
+  shed += later.shed;
+  failed += later.failed;
+  mismatched += later.mismatched;
+  served += later.served;
+  reruns += later.reruns;
+  merge(server_us, later.server_us);
+  merge(submit_us, later.submit_us);
+  by_request_us.insert(by_request_us.end(), later.by_request_us.begin(),
+                       later.by_request_us.end());
+  late_us.insert(late_us.end(), later.late_us.begin(), later.late_us.end());
+  backlog_at_end = std::max(backlog_at_end, later.backlog_at_end);
+  stats.submitted += later.stats.submitted;
+  stats.rejected += later.stats.rejected;
+  stats.completed += later.stats.completed;
+  stats.timed_out += later.stats.timed_out;
+  stats.errored += later.stats.errored;
+  stats.unknown_model += later.stats.unknown_model;
+  stats.batches += later.stats.batches;
+  stats.batched_samples += later.stats.batched_samples;
+}
+
+double windowed_percentile(const std::vector<double>& in_order, double q, int64_t window) {
+  const auto total = static_cast<int64_t>(in_order.size());
+  const int64_t n = std::max<int64_t>(1, total / window);
+  const int64_t size = total / n;
+  std::vector<double> per_window;
+  for (int64_t w = 0; w < n; ++w) {
+    const auto first = in_order.begin() + w * size;
+    std::vector<double> win(first, w + 1 == n ? in_order.end() : first + size);
+    std::sort(win.begin(), win.end());
+    per_window.push_back(nearest_rank(win, q));
+  }
+  return median(std::move(per_window));
+}
+
+int64_t PhaseResult::beyond(double q) const {
+  const int64_t size = sent / windows();
+  return size - static_cast<int64_t>(std::ceil(q * static_cast<double>(size)));
+}
+
+double PhaseResult::late_p99_us() const {
+  std::vector<double> sorted = late_us;
+  std::sort(sorted.begin(), sorted.end());
+  return nearest_rank(sorted, 0.99);
+}
+
+double PhaseResult::late_max_us() const {
+  return late_us.empty() ? 0.0 : *std::max_element(late_us.begin(), late_us.end());
+}
+
+PhaseResult run_phase(capr::serve::InferenceServer& server, const RequestPool& pool,
+                      double rate_qps, double seconds, size_t& offset, bool traced) {
+  PhaseResult p;
+  for (int attempt = 1; attempt <= kMaxAttempts; ++attempt) {
+    p = run_once(server, pool, rate_qps, seconds, offset, traced);
+    offset += static_cast<size_t>(p.sent);
+    p.reruns = attempt - 1;
+    if (p.on_time()) break;
+  }
+  return p;
 }
 
 Goodput find_goodput(capr::serve::InferenceServer& server, const RequestPool& pool,
                      double lo_qps, double hi_qps, double limit_us, double probe_s,
-                     int searches, size_t offset) {
+                     double budget_s, size_t& offset) {
+  const Clock::time_point start = Clock::now();
   std::vector<double> rungs;
   for (double q = lo_qps; q <= hi_qps * (1.0 + 1e-9); q *= 1.05) rungs.push_back(q);
   Goodput g;
-  const auto passes = [&](size_t k) {
+  const auto probe = [&](size_t k) {
     const PhaseResult p = run_phase(server, pool, rungs[k], probe_s, offset, false);
-    offset += static_cast<size_t>(p.sent);
     ++g.probes;
+    g.reruns += p.reruns;
+    if (!p.on_time()) ++g.late;
     g.sent += p.sent;
     g.mismatched += p.mismatched;
     const double backlog_limit = std::max(16.0, rungs[k] * limit_us * 1e-6);
     return p.failed == 0 && p.mismatched == 0 && p.windowed_percentile_us(0.99) <= limit_us &&
            static_cast<double>(p.backlog_at_end) <= backlog_limit;
   };
-  std::vector<double> found;
-  for (int s = 0; s < searches; ++s) {
-    if (!passes(0)) {
-      found.push_back(rungs[0] / 1.05);
-      continue;
+  // A rung fails only when a second probe confirms the first: a host
+  // stall fails one probe, a rate past capacity fails both.
+  const auto passes = [&](size_t k) { return probe(k) || probe(k); };
+  // Staircase from the lowest rung: up `step` rungs on a pass, down on a
+  // fail; the step halves at each reversal, and hitting either end of
+  // the ladder makes it one rung.
+  size_t k = 0;
+  size_t step = kFirstStep;
+  bool last = true;
+  double sum = 0.0;
+  size_t counted = 0;
+  while (counted < kMinStaircase || seconds_since(start) < budget_s) {
+    const bool fine = step == 1;
+    const bool pass = passes(k);
+    g.steps += pass ? 'P' : 'F';
+    if (fine) {
+      sum += rungs[k];
+      ++counted;
     }
-    size_t good = 0;
-    size_t bad = rungs.size();
-    while (bad - good > 1) {
-      const size_t mid = (good + bad) / 2;
-      (passes(mid) ? good : bad) = mid;
+    if (g.steps.size() > 1 && pass != last) step = std::max<size_t>(1, step / 2);
+    last = pass;
+    if (pass && k + step >= rungs.size()) {
+      k = rungs.size() - 1;
+      step = 1;
+    } else if (!pass && k < step) {
+      k = 0;
+      step = 1;
+    } else {
+      k = pass ? k + step : k - step;
     }
-    found.push_back(rungs[good]);
   }
-  g.qps = median(std::move(found));
+  g.qps = sum / static_cast<double>(counted);
   return g;
 }
 
