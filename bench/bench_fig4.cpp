@@ -10,6 +10,7 @@
 #include <iostream>
 #include <vector>
 
+#include "core/importance.h"
 #include "report/experiment.h"
 #include "report/table.h"
 
@@ -53,20 +54,22 @@ int main(int argc, char** argv) {
   for (const Panel& p : panels) {
     std::cout << "running " << p.title << " ..." << std::endl;
     report::Workbench wb = report::prepare_workbench(p.arch, p.classes, scale);
-    core::ClassAwarePrunerConfig cfg = report::pruner_config(scale);
-    cfg.model_factory = wb.factory;
-    core::ClassAwarePruner pruner(cfg);
-    const core::PruneRunResult res = pruner.run(wb.model, wb.data.train, wb.data.test);
+    report::PrunerConfig cfg = report::pruner_config(scale);
+    cfg.run.model_factory = wb.factory;
+    core::ImportanceEvaluator evaluator(cfg.strategy.importance);
+    const std::vector<float> before = evaluator.evaluate(wb.model, wb.data.train)
+                                          .units[p.unit_index].total;
+    strategy::ClassAwareStrategy strat(cfg.strategy);
+    strategy::run_strategy(wb.model, strat, wb.data.train, wb.data.test, cfg.run);
+    const std::vector<float> after = evaluator.evaluate(wb.model, wb.data.train)
+                                         .units[p.unit_index].total;
 
     const float max_score = static_cast<float>(p.classes);
     std::cout << "\n--- " << p.title << " ---\n";
-    std::cout << "before pruning (" << res.scores_before.units[p.unit_index].total.size()
-              << " filters):\n"
-              << report::histogram(res.scores_before.units[p.unit_index].total, 10, max_score)
-              << "after pruning (" << res.scores_after.units[p.unit_index].total.size()
-              << " filters):\n"
-              << report::histogram(res.scores_after.units[p.unit_index].total, 10, max_score)
-              << "\n";
+    std::cout << "before pruning (" << before.size() << " filters):\n"
+              << report::histogram(before, 10, max_score) << "after pruning ("
+              << after.size() << " filters):\n"
+              << report::histogram(after, 10, max_score) << "\n";
   }
   std::cout << "Expected shape (paper): low-score mass disappears and the\n"
                "distribution shifts right after pruning.\n";

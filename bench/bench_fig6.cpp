@@ -5,18 +5,19 @@
 // FLOPs reduction.
 //
 // Every method starts from the same pre-trained checkpoint and runs
-// through the same iterative prune/fine-tune driver with the same stop
-// rule, so differences come from the selection criterion alone.
+// through the same iterative prune/fine-tune driver (run_strategy) with
+// the same stop rule. The class-aware row additionally spends the
+// scale's recovery rounds and rolls back an unrecovered iteration; the
+// baseline rows run with neither (see DESIGN.md, Fig. 6).
 //
 // The paper's claim: class-aware pruning reaches the highest accuracy at
 // comparable (or better) pruning ratio / FLOPs reduction in most cases.
 #include <algorithm>
 #include <iostream>
-#include <vector>
 #include <memory>
+#include <vector>
 
 #include "baselines/activation.h"
-#include "baselines/baseline_pruner.h"
 #include "baselines/magnitude.h"
 #include "baselines/regularized.h"
 #include "report/experiment.h"
@@ -56,10 +57,11 @@ int main(int argc, char** argv) {
     {
       std::cout << "running Class-Aware (proposed) ..." << std::endl;
       rebuild();
-      core::ClassAwarePrunerConfig ccfg = report::pruner_config(scale);
-      ccfg.model_factory = wb.factory;
-      core::ClassAwarePruner pruner(ccfg);
-      const core::PruneRunResult res = pruner.run(wb.model, wb.data.train, wb.data.test);
+      report::PrunerConfig ccfg = report::pruner_config(scale);
+      ccfg.run.model_factory = wb.factory;
+      strategy::ClassAwareStrategy strat(ccfg.strategy);
+      const strategy::StrategyRunResult res =
+          strategy::run_strategy(wb.model, strat, wb.data.train, wb.data.test, ccfg.run);
       table.add_row({"Class-Aware (ours)", report::pct(res.final_accuracy),
                      report::pct(res.final_accuracy - res.original_accuracy),
                      report::pct(res.report.pruning_ratio()),
@@ -67,37 +69,33 @@ int main(int argc, char** argv) {
     }
 
     // Baselines through the shared driver.
-    baselines::BaselinePrunerConfig bcfg;
-    bcfg.max_fraction_per_iter = scale.max_fraction_per_iter;
+    strategy::StrategyRunConfig bcfg;
+    bcfg.limits.max_fraction_per_iter = scale.max_fraction_per_iter;
+    bcfg.limits.max_layer_fraction_per_iter = scale.max_layer_fraction_per_iter;
     bcfg.max_iterations = scale.name == "micro" ? std::min(scale.max_iterations, 6)
                                                 : scale.max_iterations;
-    bcfg.max_layer_fraction_per_iter = scale.max_layer_fraction_per_iter;
     bcfg.max_accuracy_drop = scale.max_accuracy_drop;
     bcfg.finetune.epochs = scale.finetune_epochs;
     bcfg.finetune.batch_size = scale.batch_size;
     bcfg.finetune.sgd.lr = 0.02f;
 
-    std::vector<std::unique_ptr<baselines::Criterion>> criteria;
-    criteria.push_back(std::make_unique<baselines::L1Criterion>());
-    criteria.push_back(std::make_unique<baselines::SSSCriterion>());
-    criteria.push_back(std::make_unique<baselines::HRankCriterion>(
-        scale.images_per_class_scoring));
-    criteria.push_back(std::make_unique<baselines::TPPCriterion>(
-        scale.images_per_class_scoring));
-    criteria.push_back(std::make_unique<baselines::OrthConvCriterion>());
-    criteria.push_back(std::make_unique<baselines::DepGraphCriterion>(true));
-    criteria.push_back(std::make_unique<baselines::DepGraphCriterion>(false));
-    criteria.push_back(std::make_unique<baselines::TaylorFOCriterion>(
-        scale.images_per_class_scoring));
-    criteria.push_back(std::make_unique<baselines::APoZCriterion>(
-        scale.images_per_class_scoring));
+    const int64_t m = scale.images_per_class_scoring;
+    std::vector<std::unique_ptr<strategy::PruneStrategy>> methods;
+    methods.push_back(std::make_unique<baselines::L1Strategy>());
+    methods.push_back(std::make_unique<baselines::SSSStrategy>());
+    methods.push_back(std::make_unique<baselines::HRankStrategy>(m));
+    methods.push_back(std::make_unique<baselines::TPPStrategy>(m));
+    methods.push_back(std::make_unique<baselines::OrthConvStrategy>());
+    methods.push_back(std::make_unique<baselines::DepGraphStrategy>(true));
+    methods.push_back(std::make_unique<baselines::DepGraphStrategy>(false));
+    methods.push_back(std::make_unique<baselines::TaylorFOStrategy>(m));
+    methods.push_back(std::make_unique<baselines::APoZStrategy>(m));
 
-    for (auto& crit : criteria) {
-      std::cout << "running " << crit->name() << " ..." << std::endl;
+    for (auto& method : methods) {
+      std::cout << "running " << method->name() << " ..." << std::endl;
       rebuild();
-      baselines::BaselinePruner pruner(bcfg);
-      const baselines::BaselineRunResult res =
-          pruner.run(wb.model, *crit, wb.data.train, wb.data.test);
+      const strategy::StrategyRunResult res =
+          strategy::run_strategy(wb.model, *method, wb.data.train, wb.data.test, bcfg);
       table.add_row({res.method, report::pct(res.final_accuracy),
                      report::pct(res.final_accuracy - res.original_accuracy),
                      report::pct(res.report.pruning_ratio()),

@@ -7,6 +7,7 @@
 #include <iostream>
 #include <vector>
 
+#include "core/importance.h"
 #include "report/experiment.h"
 #include "report/table.h"
 
@@ -41,20 +42,22 @@ int main(int argc, char** argv) {
   for (const Panel& p : panels) {
     std::cout << "running " << p.title << " ..." << std::endl;
     report::Workbench wb = report::prepare_workbench(p.arch, p.classes, scale);
-    core::ClassAwarePrunerConfig cfg = report::pruner_config(scale);
-    cfg.model_factory = wb.factory;
-    core::ClassAwarePruner pruner(cfg);
-    const core::PruneRunResult res = pruner.run(wb.model, wb.data.train, wb.data.test);
+    report::PrunerConfig cfg = report::pruner_config(scale);
+    cfg.run.model_factory = wb.factory;
+    core::ImportanceEvaluator evaluator(cfg.strategy.importance);
+    const core::ImportanceResult scored = evaluator.evaluate(wb.model, wb.data.train);
+    strategy::ClassAwareStrategy strat(cfg.strategy);
+    strategy::run_strategy(wb.model, strat, wb.data.train, wb.data.test, cfg.run);
 
-    const std::vector<float> before = res.scores_before.mean_per_unit();
-    const std::vector<float> after = res.scores_after.mean_per_unit();
+    const std::vector<float> before = scored.mean_per_unit();
+    const std::vector<float> after = evaluator.evaluate(wb.model, wb.data.train).mean_per_unit();
 
     report::Table table({"Layer (prunable unit)", "mean score before", "mean score after",
                          "growth"});
     int64_t grew = 0;
     for (size_t u = 0; u < before.size(); ++u) {
       if (after[u] > before[u]) ++grew;
-      table.add_row({res.scores_before.units[u].unit_name, report::fixed(before[u]),
+      table.add_row({scored.units[u].unit_name, report::fixed(before[u]),
                      report::fixed(after[u]),
                      report::fixed(after[u] - before[u], 2)});
     }

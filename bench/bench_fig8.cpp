@@ -38,8 +38,7 @@ int main(int argc, char** argv) {
     report::Workbench wb =
         report::prepare_workbench("vgg16", 10, scale, reg.lambda1, reg.lambda2);
 
-    core::ClassAwarePrunerConfig pcfg = report::pruner_config(scale);
-    core::ImportanceEvaluator eval(pcfg.importance);
+    core::ImportanceEvaluator eval(report::pruner_config(scale).strategy.importance);
     const core::ImportanceResult res = eval.evaluate(wb.model, wb.data.train);
     const std::vector<float> all = res.all_scores();
 

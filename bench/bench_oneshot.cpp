@@ -10,7 +10,6 @@
 // react to how the network reorganises.
 #include <iostream>
 
-#include "core/pruner.h"
 #include "report/experiment.h"
 #include "report/table.h"
 
@@ -36,16 +35,17 @@ int main(int argc, char** argv) {
   const auto run = [&](const char* label, float per_iter, int iters, int ft_epochs) {
     wb.model = wb.factory();
     wb.model.load_state_dict(checkpoint);
-    core::ClassAwarePrunerConfig cfg = report::pruner_config(scale);
+    report::PrunerConfig cfg = report::pruner_config(scale);
     cfg.strategy.mode = core::StrategyMode::kPercentage;  // fixed budget per step
-    cfg.strategy.max_fraction_per_iter = per_iter;
-    cfg.strategy.max_layer_fraction_per_iter = 1.0f;  // budget fully drives removal
-    cfg.max_iterations = iters;
-    cfg.finetune.epochs = ft_epochs;
-    cfg.max_accuracy_drop = 1.0f;  // observe raw accuracy, no early stop
-    core::ClassAwarePruner pruner(cfg);
-    core::PruneRunResult res = pruner.run(wb.model, wb.data.train, wb.data.test);
-    nn::TrainConfig landing = cfg.finetune;
+    cfg.run.limits.max_fraction_per_iter = per_iter;
+    cfg.run.limits.max_layer_fraction_per_iter = 1.0f;  // budget fully drives removal
+    cfg.run.max_iterations = iters;
+    cfg.run.finetune.epochs = ft_epochs;
+    cfg.run.max_accuracy_drop = 1.0f;  // observe raw accuracy, no early stop
+    strategy::ClassAwareStrategy strat(cfg.strategy);
+    strategy::StrategyRunResult res =
+        strategy::run_strategy(wb.model, strat, wb.data.train, wb.data.test, cfg.run);
+    nn::TrainConfig landing = cfg.run.finetune;
     landing.epochs = scale.finetune_epochs * steps;
     nn::train(wb.model, wb.data.train, landing);
     res.final_accuracy = nn::evaluate(wb.model, wb.data.test);

@@ -49,20 +49,21 @@ int main(int argc, char** argv) {
     if (args.smoke && &row != &kPaperRows[0]) break;  // smoke: first row only
     std::cout << "running " << row.name << " ..." << std::endl;
     report::Workbench wb = report::prepare_workbench(row.arch, row.classes, scale);
-    core::ClassAwarePrunerConfig cfg = report::pruner_config(scale);
-    cfg.model_factory = wb.factory;
+    report::PrunerConfig cfg = report::pruner_config(scale);
+    cfg.run.model_factory = wb.factory;
     if (scale.name == "micro" && row.classes >= 100) {
       // 100-class scoring costs ~10x the 10-class passes on one core;
       // cap the loop so the whole table stays inside the time budget.
-      cfg.max_iterations = std::min(cfg.max_iterations, 5);
-      cfg.importance.images_per_class = 4;
+      cfg.run.max_iterations = std::min(cfg.run.max_iterations, 5);
+      cfg.strategy.importance.images_per_class = 4;
     }
-    cfg.on_iteration = [](const core::IterationRecord& it) {
+    cfg.run.on_iteration = [](const strategy::IterationRecord& it) {
       std::cout << "    iter " << it.iteration << ": -" << it.filters_removed
                 << " filters, acc " << report::pct(it.accuracy_after_finetune) << std::endl;
     };
-    core::ClassAwarePruner pruner(cfg);
-    const core::PruneRunResult res = pruner.run(wb.model, wb.data.train, wb.data.test);
+    strategy::ClassAwareStrategy strat(cfg.strategy);
+    const strategy::StrategyRunResult res =
+        strategy::run_strategy(wb.model, strat, wb.data.train, wb.data.test, cfg.run);
 
     table.add_row({row.name, report::pct(res.original_accuracy),
                    report::pct(res.final_accuracy), report::pct(res.report.pruning_ratio()),

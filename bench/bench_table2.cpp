@@ -48,16 +48,17 @@ int main(int argc, char** argv) {
     if (args.smoke && &row != &kRows[0]) break;  // smoke: first strategy only
     std::cout << "running strategy: " << row.name << " ..." << std::endl;
     wb.model.load_state_dict(checkpoint);
-    core::ClassAwarePrunerConfig cfg = report::pruner_config(scale);
+    report::PrunerConfig cfg = report::pruner_config(scale);
     cfg.strategy.mode = row.mode;
-    cfg.model_factory = wb.factory;
-    if (scale.name == "micro") cfg.max_iterations = std::min(cfg.max_iterations, 6);
-    cfg.on_iteration = [](const core::IterationRecord& it) {
+    cfg.run.model_factory = wb.factory;
+    if (scale.name == "micro") cfg.run.max_iterations = std::min(cfg.run.max_iterations, 6);
+    cfg.run.on_iteration = [](const strategy::IterationRecord& it) {
       std::cout << "    iter " << it.iteration << ": -" << it.filters_removed
                 << " filters, acc " << report::pct(it.accuracy_after_finetune) << std::endl;
     };
-    core::ClassAwarePruner pruner(cfg);
-    const core::PruneRunResult res = pruner.run(wb.model, wb.data.train, wb.data.test);
+    strategy::ClassAwareStrategy strat(cfg.strategy);
+    const strategy::StrategyRunResult res =
+        strategy::run_strategy(wb.model, strat, wb.data.train, wb.data.test, cfg.run);
 
     table.add_row({row.name, report::pct(res.final_accuracy),
                    report::pct(res.final_accuracy - res.original_accuracy),

@@ -56,13 +56,14 @@ int main(int argc, char** argv) {
       std::cout << "training " << arch << " with reg = " << reg.name << " ..." << std::endl;
       report::Workbench wb =
           report::prepare_workbench(arch, 10, scale, reg.lambda1, reg.lambda2);
-      core::ClassAwarePrunerConfig cfg = report::pruner_config(scale);
-      cfg.loss.lambda1 = reg.lambda1;
-      cfg.loss.lambda2 = reg.lambda2;
-      cfg.model_factory = wb.factory;
-      if (scale.name == "micro") cfg.max_iterations = std::min(cfg.max_iterations, 6);
-      core::ClassAwarePruner pruner(cfg);
-      const core::PruneRunResult res = pruner.run(wb.model, wb.data.train, wb.data.test);
+      report::PrunerConfig cfg = report::pruner_config(scale);
+      cfg.strategy.loss.lambda1 = reg.lambda1;
+      cfg.strategy.loss.lambda2 = reg.lambda2;
+      cfg.run.model_factory = wb.factory;
+      if (scale.name == "micro") cfg.run.max_iterations = std::min(cfg.run.max_iterations, 6);
+      strategy::ClassAwareStrategy strat(cfg.strategy);
+      const strategy::StrategyRunResult res =
+          strategy::run_strategy(wb.model, strat, wb.data.train, wb.data.test, cfg.run);
 
       const bool is_vgg = std::string(arch) == "vgg16";
       const double paper_pruned = is_vgg ? reg.paper_vgg_pruned : reg.paper_rn_pruned;

@@ -48,10 +48,10 @@ int main(int argc, char** argv) {
   {
     wb.model = wb.factory();
     wb.model.load_state_dict(checkpoint);
-    core::ClassAwarePrunerConfig cfg = report::pruner_config(scale);
-    cfg.model_factory = wb.factory;
-    core::ClassAwarePruner pruner(cfg);
-    const auto res = pruner.run(wb.model, wb.data.train, wb.data.test);
+    report::PrunerConfig cfg = report::pruner_config(scale);
+    cfg.run.model_factory = wb.factory;
+    strategy::ClassAwareStrategy strat(cfg.strategy);
+    const auto res = strategy::run_strategy(wb.model, strat, wb.data.train, wb.data.test, cfg.run);
     table.add_row({"class-aware (structured)", report::pct(res.final_accuracy),
                    report::pct(res.report.pruning_ratio()),
                    report::pct(res.report.flops_reduction())});

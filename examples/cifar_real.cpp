@@ -6,15 +6,16 @@
 // default because no dataset ships with it; this example is the bridge
 // to the paper's actual setting. Point it at the extracted CIFAR-10
 // binary distribution (data_batch_1..5.bin + test_batch.bin) and it
-// trains VGG16 with the modified cost and runs the class-aware pruner.
+// trains VGG16 with the modified cost and runs class-aware pruning.
 // Without an argument it prints instructions and exits cleanly, so the
 // binary is safe in automated runs.
 #include <iostream>
 
-#include "core/pruner.h"
 #include "data/cifar_binary.h"
 #include "models/builders.h"
 #include "nn/trainer.h"
+#include "strategy/class_aware.h"
+#include "strategy/runner.h"
 
 int main(int argc, char** argv) {
   using namespace capr;
@@ -58,18 +59,21 @@ int main(int argc, char** argv) {
   nn::train(model, cifar.train, tcfg, &reg);
   std::cout << "test accuracy " << nn::evaluate(model, cifar.test) * 100 << "%\n";
 
-  core::ClassAwarePrunerConfig pcfg;  // paper defaults: M=10, thr 3, 10%/iter
-  pcfg.importance.images_per_class = 10;
-  pcfg.finetune.epochs = std::max(1, epochs / 2);
-  pcfg.finetune.batch_size = 256;
-  pcfg.finetune.sgd.lr = 0.001f;
-  pcfg.max_iterations = 5;
-  pcfg.on_iteration = [](const core::IterationRecord& it) {
+  strategy::ClassAwareStrategyConfig scfg;  // paper defaults: M=10, thr 3
+  scfg.importance.images_per_class = 10;
+  strategy::ClassAwareStrategy strat(scfg);
+  strategy::StrategyRunConfig rcfg;  // 10%/iter
+  rcfg.finetune.epochs = std::max(1, epochs / 2);
+  rcfg.finetune.batch_size = 256;
+  rcfg.finetune.sgd.lr = 0.001f;
+  rcfg.recovery_rounds = 2;
+  rcfg.max_iterations = 5;
+  rcfg.on_iteration = [](const strategy::IterationRecord& it) {
     std::cout << "prune iter " << it.iteration << ": -" << it.filters_removed
               << " filters, acc " << it.accuracy_after_finetune * 100 << "%\n";
   };
-  core::ClassAwarePruner pruner(pcfg);
-  const core::PruneRunResult res = pruner.run(model, cifar.train, cifar.test);
+  const strategy::StrategyRunResult res =
+      strategy::run_strategy(model, strat, cifar.train, cifar.test, rcfg);
   std::cout << "pruning ratio " << res.report.pruning_ratio() * 100 << "%, FLOPs -"
             << res.report.flops_reduction() * 100 << "%, accuracy "
             << res.final_accuracy * 100 << "%\n";

@@ -2,20 +2,21 @@
 //
 //   $ ./build/examples/custom_criterion
 //
-// The baselines::Criterion interface is the extension point: implement
-// score() (and optionally train_regularizer()) and any criterion runs
-// through the same iterative BaselinePruner as the built-in methods.
-// Here we add a deliberately bad RandomCriterion and race it against L1
-// and the class-aware method — a useful sanity harness when developing
-// new criteria, because any criterion worth keeping must beat random.
+// strategy::PruneStrategy is the extension point: implement name() and
+// score() (and optionally mode(), score_threshold() and
+// train_regularizer()) and the method runs through the same
+// strategy::run_strategy loop as the built-in methods. Here we add a
+// deliberately bad RandomStrategy and race it against L1 and the
+// class-aware method — a useful sanity harness when developing new
+// criteria, because any criterion worth keeping must beat random.
 #include <iostream>
 
-#include "baselines/baseline_pruner.h"
 #include "baselines/magnitude.h"
-#include "core/pruner.h"
 #include "data/synthetic.h"
 #include "models/builders.h"
 #include "nn/trainer.h"
+#include "strategy/class_aware.h"
+#include "strategy/runner.h"
 #include "tensor/rng.h"
 
 namespace {
@@ -23,18 +24,19 @@ namespace {
 using namespace capr;
 
 /// Assigns every filter a random importance — the control condition.
-class RandomCriterion final : public baselines::Criterion {
+class RandomStrategy final : public strategy::PruneStrategy {
  public:
-  explicit RandomCriterion(uint64_t seed) : rng_(seed) {}
+  explicit RandomStrategy(uint64_t seed) : rng_(seed) {}
   std::string name() const override { return "Random"; }
-  baselines::UnitFilterScores score(nn::Model& model, const data::Dataset&) override {
-    baselines::UnitFilterScores out;
-    for (const nn::PrunableUnit& u : model.units) {
+  strategy::ScoreSet score(const strategy::StrategyContext& ctx) override {
+    std::vector<std::vector<float>> per_unit;
+    for (const nn::PrunableUnit& u : ctx.model.units) {
       std::vector<float> s(static_cast<size_t>(u.conv->out_channels()));
       for (float& v : s) v = rng_.uniform();
-      out.push_back(std::move(s));
+      per_unit.push_back(std::move(s));
     }
-    return out;
+    // Keep the groups the model graph admits as prunable.
+    return strategy::admitted_scores(ctx, per_unit);
   }
 
  private:
@@ -68,39 +70,37 @@ int main() {
     return m;
   };
 
-  baselines::BaselinePrunerConfig bcfg;
-  bcfg.max_fraction_per_iter = 0.25f;
-  bcfg.max_iterations = 3;
-  bcfg.max_accuracy_drop = 0.10f;
-  bcfg.finetune.epochs = 2;
-  bcfg.finetune.batch_size = 24;
-  bcfg.finetune.sgd.lr = 0.02f;
+  strategy::StrategyRunConfig rcfg;
+  rcfg.limits.max_fraction_per_iter = 0.25f;
+  rcfg.max_iterations = 3;
+  rcfg.max_accuracy_drop = 0.10f;
+  rcfg.finetune.epochs = 2;
+  rcfg.finetune.batch_size = 24;
+  rcfg.finetune.sgd.lr = 0.02f;
 
   std::cout << "criterion comparison (same pruning driver, same budget):\n";
-  RandomCriterion random(7);
-  baselines::L1Criterion l1;
-  for (baselines::Criterion* crit :
-       std::initializer_list<baselines::Criterion*>{&random, &l1}) {
+  RandomStrategy random(7);
+  baselines::L1Strategy l1;
+  for (strategy::PruneStrategy* strat :
+       std::initializer_list<strategy::PruneStrategy*>{&random, &l1}) {
     nn::Model m = fresh_trained();
-    baselines::BaselinePruner pruner(bcfg);
-    const auto res = pruner.run(m, *crit, dataset.train, dataset.test);
+    const auto res = strategy::run_strategy(m, *strat, dataset.train, dataset.test, rcfg);
     std::cout << "  " << res.method << ": " << res.original_accuracy * 100 << "% -> "
               << res.final_accuracy * 100 << "% at ratio "
               << res.report.pruning_ratio() * 100 << "%\n";
   }
 
-  // And the proposed class-aware method under a matched budget.
+  // And the proposed class-aware method under a matched budget, with the
+  // recovery fine-tunes the class-aware examples use.
   nn::Model m = fresh_trained();
-  core::ClassAwarePrunerConfig pcfg;
-  pcfg.importance.images_per_class = 6;
-  pcfg.importance.tau_mode = core::TauMode::kQuantile;
-  pcfg.strategy.mode = core::StrategyMode::kPercentage;
-  pcfg.strategy.max_fraction_per_iter = bcfg.max_fraction_per_iter;
-  pcfg.finetune = bcfg.finetune;
-  pcfg.max_accuracy_drop = bcfg.max_accuracy_drop;
-  pcfg.max_iterations = bcfg.max_iterations;
-  core::ClassAwarePruner pruner(pcfg);
-  const auto res = pruner.run(m, dataset.train, dataset.test);
+  strategy::ClassAwareStrategyConfig scfg;
+  scfg.importance.images_per_class = 6;
+  scfg.importance.tau_mode = core::TauMode::kQuantile;
+  scfg.mode = core::StrategyMode::kPercentage;
+  strategy::ClassAwareStrategy class_aware(scfg);
+  strategy::StrategyRunConfig ccfg = rcfg;
+  ccfg.recovery_rounds = 2;
+  const auto res = strategy::run_strategy(m, class_aware, dataset.train, dataset.test, ccfg);
   std::cout << "  Class-Aware: " << res.original_accuracy * 100 << "% -> "
             << res.final_accuracy * 100 << "% at ratio "
             << res.report.pruning_ratio() * 100 << "%\n";

@@ -9,11 +9,12 @@
 // deployment actually runs (the paper's motivating scenario).
 #include <iostream>
 
-#include "core/pruner.h"
 #include "data/synthetic.h"
 #include "hw/systolic.h"
 #include "models/builders.h"
 #include "nn/trainer.h"
+#include "strategy/class_aware.h"
+#include "strategy/runner.h"
 
 int main() {
   using namespace capr;
@@ -46,24 +47,26 @@ int main() {
   std::cout << "dense latency: " << hw::simulate(model, array).latency_us(array)
             << " us; budget: " << budget_us << " us\n";
 
-  core::ClassAwarePrunerConfig pcfg;
-  pcfg.importance.images_per_class = 6;
-  pcfg.importance.tau_mode = core::TauMode::kQuantile;
-  pcfg.strategy.max_fraction_per_iter = 0.15f;
-  pcfg.finetune.epochs = 2;
-  pcfg.finetune.batch_size = 32;
-  pcfg.finetune.sgd.lr = 0.02f;
-  pcfg.max_accuracy_drop = 0.08f;
-  pcfg.max_iterations = 10;
+  strategy::ClassAwareStrategyConfig scfg;
+  scfg.importance.images_per_class = 6;
+  scfg.importance.tau_mode = core::TauMode::kQuantile;
+  strategy::ClassAwareStrategy strat(scfg);
+  strategy::StrategyRunConfig rcfg;
+  rcfg.limits.max_fraction_per_iter = 0.15f;
+  rcfg.finetune.epochs = 2;
+  rcfg.finetune.batch_size = 32;
+  rcfg.finetune.sgd.lr = 0.02f;
+  rcfg.max_accuracy_drop = 0.08f;
+  rcfg.recovery_rounds = 2;
+  rcfg.max_iterations = 10;
   // Roll back any iteration whose accuracy cannot be recovered, so the
   // deployed model never violates the quality bar.
-  pcfg.model_factory = [&mcfg] { return models::make_vgg16(mcfg); };
-  pcfg.on_iteration = [](const core::IterationRecord& it) {
+  rcfg.model_factory = [&mcfg] { return models::make_vgg16(mcfg); };
+  rcfg.on_iteration = [](const strategy::IterationRecord& it) {
     std::cout << "iter " << it.iteration << ": acc " << it.accuracy_after_finetune * 100
               << "%, params " << it.params << "\n";
   };
-  core::ClassAwarePruner pruner(pcfg);
-  pruner.run(model, dataset.train, dataset.test);
+  strategy::run_strategy(model, strat, dataset.train, dataset.test, rcfg);
 
   const hw::ModelSim final_sim = hw::simulate(model, array);
   std::cout << "\npruned latency: " << final_sim.latency_us(array) << " us ("

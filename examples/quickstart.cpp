@@ -11,11 +11,12 @@
 #include <iostream>
 
 #include "analysis/checked.h"
-#include "core/pruner.h"
 #include "data/synthetic.h"
 #include "models/builders.h"
 #include "nn/summary.h"
 #include "nn/trainer.h"
+#include "strategy/class_aware.h"
+#include "strategy/runner.h"
 
 int main() {
   using namespace capr;
@@ -51,18 +52,21 @@ int main() {
   std::cout << "trained: test accuracy " << nn::evaluate(model, dataset.test) * 100 << "%\n";
 
   // 3. Class-aware pruning (Fig. 5 loop).
-  core::ClassAwarePrunerConfig pcfg;
-  pcfg.importance.images_per_class = 8;        // M in Eq. 6
-  pcfg.importance.tau_mode = core::TauMode::kQuantile;  // float32-friendly Eq. 5
-  pcfg.strategy.mode = core::StrategyMode::kBoth;       // threshold + percentage
-  pcfg.strategy.max_fraction_per_iter = 0.2f;
-  pcfg.finetune.epochs = 3;
-  pcfg.finetune.batch_size = 32;
-  pcfg.finetune.sgd.lr = 0.02f;
-  pcfg.max_accuracy_drop = 0.05f;
-  pcfg.max_iterations = 6;
-  core::ClassAwarePruner pruner(pcfg);
-  const core::PruneRunResult result = pruner.run(model, dataset.train, dataset.test);
+  strategy::ClassAwareStrategyConfig scfg;
+  scfg.importance.images_per_class = 8;                 // M in Eq. 6
+  scfg.importance.tau_mode = core::TauMode::kQuantile;  // float32-friendly Eq. 5
+  scfg.mode = core::StrategyMode::kBoth;                // threshold + percentage
+  strategy::ClassAwareStrategy strat(scfg);
+  strategy::StrategyRunConfig rcfg;
+  rcfg.limits.max_fraction_per_iter = 0.2f;
+  rcfg.finetune.epochs = 3;
+  rcfg.finetune.batch_size = 32;
+  rcfg.finetune.sgd.lr = 0.02f;
+  rcfg.max_accuracy_drop = 0.05f;
+  rcfg.recovery_rounds = 2;
+  rcfg.max_iterations = 6;
+  const strategy::StrategyRunResult result =
+      strategy::run_strategy(model, strat, dataset.train, dataset.test, rcfg);
 
   // 4. Report.
   std::cout << "\npruning finished (" << result.stop_reason << ") after "

@@ -10,10 +10,12 @@
 #include <cstdio>
 #include <iostream>
 
-#include "core/pruner.h"
+#include "core/surgeon.h"
 #include "data/synthetic.h"
 #include "models/builders.h"
 #include "nn/trainer.h"
+#include "strategy/class_aware.h"
+#include "strategy/runner.h"
 #include "tensor/serialize.h"
 
 int main() {
@@ -42,20 +44,23 @@ int main() {
   core::ModifiedLoss reg;
   nn::train(model, dataset.train, tcfg, &reg);
 
-  core::ClassAwarePrunerConfig pcfg;
-  pcfg.importance.images_per_class = 6;
-  pcfg.importance.tau_mode = core::TauMode::kQuantile;
-  pcfg.strategy.max_fraction_per_iter = 0.2f;
-  pcfg.finetune.epochs = 2;
-  pcfg.finetune.batch_size = 32;
-  pcfg.finetune.sgd.lr = 0.02f;
-  pcfg.max_accuracy_drop = 0.08f;
-  pcfg.max_iterations = 5;
-  core::ClassAwarePruner pruner(pcfg);
-  const core::PruneRunResult result = pruner.run(model, dataset.train, dataset.test);
+  strategy::ClassAwareStrategyConfig scfg;
+  scfg.importance.images_per_class = 6;
+  scfg.importance.tau_mode = core::TauMode::kQuantile;
+  strategy::ClassAwareStrategy strat(scfg);
+  strategy::StrategyRunConfig rcfg;
+  rcfg.limits.max_fraction_per_iter = 0.2f;
+  rcfg.finetune.epochs = 2;
+  rcfg.finetune.batch_size = 32;
+  rcfg.finetune.sgd.lr = 0.02f;
+  rcfg.max_accuracy_drop = 0.08f;
+  rcfg.recovery_rounds = 2;
+  rcfg.max_iterations = 5;
+  const strategy::StrategyRunResult result =
+      strategy::run_strategy(model, strat, dataset.train, dataset.test, rcfg);
 
   std::cout << "\niteration trajectory:\n";
-  for (const core::IterationRecord& it : result.iterations) {
+  for (const strategy::IterationRecord& it : result.iterations) {
     std::cout << "  iter " << it.iteration << ": removed " << it.filters_removed
               << " filters, " << it.filters_remaining << " remain, accuracy "
               << it.accuracy_after_finetune * 100 << "%, params " << it.params << "\n";

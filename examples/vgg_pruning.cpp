@@ -4,8 +4,8 @@
 //
 //   $ ./build/examples/vgg_pruning
 //
-// Where the quickstart drives the whole loop through ClassAwarePruner,
-// this example performs one pruning iteration by hand — evaluate,
+// Where the quickstart drives the whole loop through run_strategy, this
+// example performs one pruning iteration by hand — evaluate,
 // inspect, select, operate, fine-tune — which is the granularity a user
 // needs to build custom pruning schedules.
 #include <algorithm>

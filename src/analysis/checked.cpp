@@ -12,11 +12,8 @@ bool g_enabled = false;
 }  // namespace
 
 void enable_checked_mode() {
-  core::set_plan_validator([](nn::Model& model, const std::vector<core::UnitSelection>& plan,
-                              const core::PruneStrategyConfig* strategy) {
-    VerifyOptions opts;
-    opts.strategy = strategy;
-    require_ok(analyze_plan(model, plan, opts));
+  core::set_plan_validator([](nn::Model& model, const std::vector<core::UnitSelection>& plan) {
+    require_ok(analyze_plan(model, plan));
   });
   nn::set_model_validator([](nn::Model& model) { require_ok(analyze_model(model)); });
   g_enabled = true;

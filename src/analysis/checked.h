@@ -5,8 +5,6 @@
 //
 //   - core::apply_selection certifies every plan structurally before
 //     the first mutation (core::set_plan_validator);
-//   - core::ClassAwarePruner::step certifies with full strategy context
-//     (per-iteration caps, floor) through the same hook;
 //   - nn::train / nn::evaluate certify the model graph before spending
 //     any compute (nn::set_model_validator).
 //

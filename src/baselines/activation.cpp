@@ -68,11 +68,12 @@ int64_t matrix_rank(const float* data, int64_t h, int64_t w, float rel_tol) {
   return rank;
 }
 
-UnitFilterScores APoZCriterion::score(nn::Model& model, const data::Dataset& train_set) {
-  const data::Batch batch = balanced_sample(train_set, images_per_class_, seed_);
+strategy::ScoreSet APoZStrategy::score(const strategy::StrategyContext& ctx) {
+  nn::Model& model = ctx.model;
+  const data::Batch batch = data::balanced_sample(ctx.train_set, images_per_class_, seed_);
   CaptureAll guard(model);
   model.forward(batch.images, /*training=*/false);
-  UnitFilterScores out;
+  std::vector<std::vector<float>> out;
   for (auto& u : model.units) {
     const Tensor& a = u.score_point->instrument().captured_output;
     const int64_t n = a.dim(0), f = a.dim(1);
@@ -91,14 +92,15 @@ UnitFilterScores APoZCriterion::score(nn::Model& model, const data::Dataset& tra
     }
     out.push_back(std::move(s));
   }
-  return out;
+  return strategy::admitted_scores(ctx, out);
 }
 
-UnitFilterScores HRankCriterion::score(nn::Model& model, const data::Dataset& train_set) {
-  const data::Batch batch = balanced_sample(train_set, images_per_class_, seed_);
+strategy::ScoreSet HRankStrategy::score(const strategy::StrategyContext& ctx) {
+  nn::Model& model = ctx.model;
+  const data::Batch batch = data::balanced_sample(ctx.train_set, images_per_class_, seed_);
   CaptureAll guard(model);
   model.forward(batch.images, /*training=*/false);
-  UnitFilterScores out;
+  std::vector<std::vector<float>> out;
   for (auto& u : model.units) {
     const Tensor& a = u.score_point->instrument().captured_output;
     const int64_t n = a.dim(0), f = a.dim(1);
@@ -120,17 +122,18 @@ UnitFilterScores HRankCriterion::score(nn::Model& model, const data::Dataset& tr
     }
     out.push_back(std::move(s));
   }
-  return out;
+  return strategy::admitted_scores(ctx, out);
 }
 
-UnitFilterScores TaylorFOCriterion::score(nn::Model& model, const data::Dataset& train_set) {
-  const data::Batch batch = balanced_sample(train_set, images_per_class_, seed_);
+strategy::ScoreSet TaylorFOStrategy::score(const strategy::StrategyContext& ctx) {
+  nn::Model& model = ctx.model;
+  const data::Batch batch = data::balanced_sample(ctx.train_set, images_per_class_, seed_);
   CaptureAll guard(model);
   nn::SoftmaxCrossEntropy ce;
   const Tensor logits = model.forward(batch.images, /*training=*/false);
   ce.forward(logits, batch.labels);
   model.backward(ce.backward());
-  UnitFilterScores out;
+  std::vector<std::vector<float>> out;
   for (auto& u : model.units) {
     const Tensor& a = u.score_point->instrument().captured_output;
     const Tensor& g = u.score_point->instrument().captured_grad;
@@ -150,7 +153,7 @@ UnitFilterScores TaylorFOCriterion::score(nn::Model& model, const data::Dataset&
     }
     out.push_back(std::move(s));
   }
-  return out;
+  return strategy::admitted_scores(ctx, out);
 }
 
 }  // namespace capr::baselines

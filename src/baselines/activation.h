@@ -1,19 +1,20 @@
-// Activation-driven criteria: APoZ, HRank, Taylor-FO.
+// Activation-driven criteria: APoZ, HRank, Taylor-FO (paper Fig. 6
+// baselines).
 #pragma once
 
-#include "baselines/criterion.h"
+#include "strategy/strategy.h"
 
 namespace capr::baselines {
 
 /// APoZ (Hu et al., "Network Trimming", 2016 — paper ref [24]): filters
 /// whose post-ReLU feature maps are mostly zero are unimportant. Score is
 /// 1 - (average percentage of zeros).
-class APoZCriterion final : public Criterion {
+class APoZStrategy final : public strategy::PruneStrategy {
  public:
-  explicit APoZCriterion(int64_t images_per_class = 4, uint64_t seed = 31)
+  explicit APoZStrategy(int64_t images_per_class = 4, uint64_t seed = 31)
       : images_per_class_(images_per_class), seed_(seed) {}
   std::string name() const override { return "APoZ"; }
-  UnitFilterScores score(nn::Model& model, const data::Dataset& train_set) override;
+  strategy::ScoreSet score(const strategy::StrategyContext& ctx) override;
 
  private:
   int64_t images_per_class_;
@@ -25,13 +26,13 @@ class APoZCriterion final : public Criterion {
 /// numerical rank of the filter's [H, W] feature map over sample images
 /// (rank via row-reduction with a relative tolerance — equivalent to the
 /// SVD rank the paper computes).
-class HRankCriterion final : public Criterion {
+class HRankStrategy final : public strategy::PruneStrategy {
  public:
-  explicit HRankCriterion(int64_t images_per_class = 4, uint64_t seed = 33,
+  explicit HRankStrategy(int64_t images_per_class = 4, uint64_t seed = 33,
                           float rel_tol = 1e-4f)
       : images_per_class_(images_per_class), seed_(seed), rel_tol_(rel_tol) {}
   std::string name() const override { return "HRank"; }
-  UnitFilterScores score(nn::Model& model, const data::Dataset& train_set) override;
+  strategy::ScoreSet score(const strategy::StrategyContext& ctx) override;
 
  private:
   int64_t images_per_class_;
@@ -43,12 +44,12 @@ class HRankCriterion final : public Criterion {
 /// CVPR 2019 — paper refs [25][28]): |sum over the feature map of
 /// a * dL/da|, averaged over a scoring batch. Unlike the class-aware
 /// criterion this mixes all classes into a single expectation.
-class TaylorFOCriterion final : public Criterion {
+class TaylorFOStrategy final : public strategy::PruneStrategy {
  public:
-  explicit TaylorFOCriterion(int64_t images_per_class = 4, uint64_t seed = 35)
+  explicit TaylorFOStrategy(int64_t images_per_class = 4, uint64_t seed = 35)
       : images_per_class_(images_per_class), seed_(seed) {}
   std::string name() const override { return "Taylor-FO"; }
-  UnitFilterScores score(nn::Model& model, const data::Dataset& train_set) override;
+  strategy::ScoreSet score(const strategy::StrategyContext& ctx) override;
 
  private:
   int64_t images_per_class_;

@@ -39,33 +39,33 @@ double linear_block_sq(const nn::Linear& lin, int64_t ch, int64_t spatial) {
 
 }  // namespace
 
-UnitFilterScores L1Criterion::score(nn::Model& model, const data::Dataset&) {
-  UnitFilterScores out;
-  for (const nn::PrunableUnit& u : model.units) {
+strategy::ScoreSet L1Strategy::score(const strategy::StrategyContext& ctx) {
+  std::vector<std::vector<float>> out;
+  for (const nn::PrunableUnit& u : ctx.model.units) {
     std::vector<float> s(static_cast<size_t>(u.conv->out_channels()));
     for (int64_t f = 0; f < u.conv->out_channels(); ++f) {
       s[static_cast<size_t>(f)] = static_cast<float>(filter_reduce(*u.conv, f, 1));
     }
     out.push_back(std::move(s));
   }
-  return out;
+  return strategy::admitted_scores(ctx, out);
 }
 
-UnitFilterScores L2Criterion::score(nn::Model& model, const data::Dataset&) {
-  UnitFilterScores out;
-  for (const nn::PrunableUnit& u : model.units) {
+strategy::ScoreSet L2Strategy::score(const strategy::StrategyContext& ctx) {
+  std::vector<std::vector<float>> out;
+  for (const nn::PrunableUnit& u : ctx.model.units) {
     std::vector<float> s(static_cast<size_t>(u.conv->out_channels()));
     for (int64_t f = 0; f < u.conv->out_channels(); ++f) {
       s[static_cast<size_t>(f)] = static_cast<float>(std::sqrt(filter_reduce(*u.conv, f, 2)));
     }
     out.push_back(std::move(s));
   }
-  return out;
+  return strategy::admitted_scores(ctx, out);
 }
 
-UnitFilterScores DepGraphCriterion::score(nn::Model& model, const data::Dataset&) {
-  UnitFilterScores out;
-  for (nn::PrunableUnit& u : model.units) {
+strategy::ScoreSet DepGraphStrategy::score(const strategy::StrategyContext& ctx) {
+  std::vector<std::vector<float>> out;
+  for (nn::PrunableUnit& u : ctx.model.units) {
     std::vector<float> s(static_cast<size_t>(u.conv->out_channels()));
     for (int64_t f = 0; f < u.conv->out_channels(); ++f) {
       double group = filter_reduce(*u.conv, f, 2);
@@ -87,7 +87,7 @@ UnitFilterScores DepGraphCriterion::score(nn::Model& model, const data::Dataset&
     }
     out.push_back(std::move(s));
   }
-  return out;
+  return strategy::admitted_scores(ctx, out);
 }
 
 }  // namespace capr::baselines

@@ -7,10 +7,10 @@
 
 namespace capr::baselines {
 
-SSSCriterion::SSSCriterion(float sparsity_lambda)
+SSSStrategy::SSSStrategy(float sparsity_lambda)
     : reg_(std::make_unique<GammaL1>(sparsity_lambda)) {}
 
-float SSSCriterion::GammaL1::apply(nn::Model& model) {
+float SSSStrategy::GammaL1::apply(nn::Model& model) {
   double penalty = 0.0;
   for (nn::PrunableUnit& u : model.units) {
     if (u.bn == nullptr) continue;
@@ -28,9 +28,9 @@ float SSSCriterion::GammaL1::apply(nn::Model& model) {
   return static_cast<float>(static_cast<double>(lambda_) * penalty);
 }
 
-UnitFilterScores SSSCriterion::score(nn::Model& model, const data::Dataset&) {
-  UnitFilterScores out;
-  for (nn::PrunableUnit& u : model.units) {
+strategy::ScoreSet SSSStrategy::score(const strategy::StrategyContext& ctx) {
+  std::vector<std::vector<float>> out;
+  for (nn::PrunableUnit& u : ctx.model.units) {
     std::vector<float> s(static_cast<size_t>(u.conv->out_channels()), 1.0f);
     if (u.bn != nullptr) {
       for (int64_t f = 0; f < u.bn->channels(); ++f) {
@@ -39,19 +39,19 @@ UnitFilterScores SSSCriterion::score(nn::Model& model, const data::Dataset&) {
     }
     out.push_back(std::move(s));
   }
-  return out;
+  return strategy::admitted_scores(ctx, out);
 }
 
-OrthConvCriterion::OrthConvCriterion(float lambda_orth) {
+OrthConvStrategy::OrthConvStrategy(float lambda_orth) {
   core::ModifiedLossConfig cfg;
   cfg.lambda1 = 0.0f;  // orthogonality only
   cfg.lambda2 = lambda_orth;
   reg_ = std::make_unique<core::ModifiedLoss>(cfg);
 }
 
-UnitFilterScores OrthConvCriterion::score(nn::Model& model, const data::Dataset&) {
-  UnitFilterScores out;
-  for (const nn::PrunableUnit& u : model.units) {
+strategy::ScoreSet OrthConvStrategy::score(const strategy::StrategyContext& ctx) {
+  std::vector<std::vector<float>> out;
+  for (const nn::PrunableUnit& u : ctx.model.units) {
     const int64_t fsz = u.conv->in_channels() * u.conv->kernel() * u.conv->kernel();
     std::vector<float> s(static_cast<size_t>(u.conv->out_channels()));
     for (int64_t f = 0; f < u.conv->out_channels(); ++f) {
@@ -62,11 +62,12 @@ UnitFilterScores OrthConvCriterion::score(nn::Model& model, const data::Dataset&
     }
     out.push_back(std::move(s));
   }
-  return out;
+  return strategy::admitted_scores(ctx, out);
 }
 
-UnitFilterScores TPPCriterion::score(nn::Model& model, const data::Dataset& train_set) {
-  const data::Batch batch = balanced_sample(train_set, images_per_class_, seed_);
+strategy::ScoreSet TPPStrategy::score(const strategy::StrategyContext& ctx) {
+  nn::Model& model = ctx.model;
+  const data::Batch batch = data::balanced_sample(ctx.train_set, images_per_class_, seed_);
   const std::vector<nn::Param*> params = model.params();
   nn::SGD::zero_grad(params);
   nn::SoftmaxCrossEntropy ce;
@@ -74,7 +75,7 @@ UnitFilterScores TPPCriterion::score(nn::Model& model, const data::Dataset& trai
   ce.forward(logits, batch.labels);
   model.backward(ce.backward());
 
-  UnitFilterScores out;
+  std::vector<std::vector<float>> out;
   for (const nn::PrunableUnit& u : model.units) {
     const int64_t fsz = u.conv->in_channels() * u.conv->kernel() * u.conv->kernel();
     std::vector<float> s(static_cast<size_t>(u.conv->out_channels()));
@@ -91,7 +92,7 @@ UnitFilterScores TPPCriterion::score(nn::Model& model, const data::Dataset& trai
     out.push_back(std::move(s));
   }
   nn::SGD::zero_grad(params);
-  return out;
+  return strategy::admitted_scores(ctx, out);
 }
 
 }  // namespace capr::baselines

@@ -5,8 +5,8 @@
 
 #include <memory>
 
-#include "baselines/criterion.h"
 #include "core/modified_loss.h"
+#include "strategy/strategy.h"
 
 namespace capr::baselines {
 
@@ -15,11 +15,11 @@ namespace capr::baselines {
 /// sparsity term. We realise the scaling factors as the BatchNorm gammas
 /// of each prunable conv (the standard scaling-factor formulation);
 /// filters whose |gamma| is driven to zero are removed.
-class SSSCriterion final : public Criterion {
+class SSSStrategy final : public strategy::PruneStrategy {
  public:
-  explicit SSSCriterion(float sparsity_lambda = 1e-3f);
+  explicit SSSStrategy(float sparsity_lambda = 1e-3f);
   std::string name() const override { return "SSS"; }
-  UnitFilterScores score(nn::Model& model, const data::Dataset& train_set) override;
+  strategy::ScoreSet score(const strategy::StrategyContext& ctx) override;
   nn::Regularizer* train_regularizer() override { return reg_.get(); }
 
  private:
@@ -37,11 +37,11 @@ class SSSCriterion final : public Criterion {
 /// OrthConv (Wang et al., CVPR 2020 — paper ref [31]): trains with the
 /// filter-orthogonality penalty (no L1), then prunes by filter L1 norm.
 /// This is the "orthogonality improves accuracy" comparator of Fig. 6.
-class OrthConvCriterion final : public Criterion {
+class OrthConvStrategy final : public strategy::PruneStrategy {
  public:
-  explicit OrthConvCriterion(float lambda_orth = 1e-2f);
+  explicit OrthConvStrategy(float lambda_orth = 1e-2f);
   std::string name() const override { return "OrthConv"; }
-  UnitFilterScores score(nn::Model& model, const data::Dataset& train_set) override;
+  strategy::ScoreSet score(const strategy::StrategyContext& ctx) override;
   nn::Regularizer* train_regularizer() override { return reg_.get(); }
 
  private:
@@ -55,12 +55,12 @@ class OrthConvCriterion final : public Criterion {
 /// with both small weights and small gradient traffic are the safest to
 /// remove. (The original adds a transplant regularizer; the ranking
 /// behaviour is what the Fig. 6 comparison needs.)
-class TPPCriterion final : public Criterion {
+class TPPStrategy final : public strategy::PruneStrategy {
  public:
-  explicit TPPCriterion(int64_t images_per_class = 4, uint64_t seed = 37)
+  explicit TPPStrategy(int64_t images_per_class = 4, uint64_t seed = 37)
       : images_per_class_(images_per_class), seed_(seed) {}
   std::string name() const override { return "TPP"; }
-  UnitFilterScores score(nn::Model& model, const data::Dataset& train_set) override;
+  strategy::ScoreSet score(const strategy::StrategyContext& ctx) override;
 
  private:
   int64_t images_per_class_;

@@ -9,10 +9,9 @@
 // A per-layer floor (min_filters_per_layer) guarantees surgery legality.
 //
 // The selection machinery is implemented ONCE (select_scored): the
-// class-aware path (select_filters), the baseline criteria and the
-// graph-driven PruneStrategy interface (src/strategy) all feed their
-// scores through the same engine, so every method runs under identical
-// cap/floor protections.
+// class-aware scores (select_filters) and every graph-driven
+// PruneStrategy (src/strategy) feed their scores through the same
+// engine, so every method runs under identical cap/floor protections.
 #pragma once
 
 #include <cstdint>
@@ -26,8 +25,8 @@ enum class StrategyMode { kThreshold, kPercentage, kBoth };
 
 /// The protection knobs every selection — class-aware, baseline or
 /// tournament entrant — runs under. Shared by PruneStrategyConfig and
-/// baselines::BaselinePrunerConfig so no method can accidentally run
-/// with different caps or floors than its competitors.
+/// strategy::StrategyRunConfig so no method can accidentally run with
+/// different caps or floors than its competitors.
 struct SelectionLimits {
   /// Per-iteration cap as a fraction of currently remaining filters,
   /// network-wide (the paper's "no more than 10% per iteration").

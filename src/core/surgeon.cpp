@@ -63,7 +63,7 @@ void remove_filters(nn::Model& model, size_t unit_index, const std::vector<int64
 }
 
 int64_t apply_selection(nn::Model& model, const std::vector<UnitSelection>& selection) {
-  if (plan_validator()) plan_validator()(model, selection, nullptr);
+  if (plan_validator()) plan_validator()(model, selection);
   int64_t removed = 0;
   for (const UnitSelection& sel : selection) {
     remove_filters(model, sel.unit_index, sel.filters);

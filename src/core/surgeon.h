@@ -20,15 +20,12 @@
 
 namespace capr::core {
 
-/// Checked-mode hook: certifies a plan BEFORE any mutation, throwing to
-/// reject it. Installed by analysis::enable_checked_mode() (the static
-/// analyzer lives above core in the layering, so core only knows the
-/// hook). The strategy pointer is non-null when the caller knows the
-/// strategy semantics the plan must additionally respect (per-iteration
-/// caps, floor); apply_selection itself passes null (structural checks
-/// only).
-using PlanValidator = std::function<void(
-    nn::Model&, const std::vector<UnitSelection>&, const PruneStrategyConfig*)>;
+/// Checked-mode hook: certifies a plan structurally BEFORE any mutation,
+/// throwing to reject it. Installed by analysis::enable_checked_mode()
+/// (the static analyzer lives above core in the layering, so core only
+/// knows the hook). Strategy semantics (per-iteration caps, floor) are
+/// certified by strategy::run_strategy, which knows them.
+using PlanValidator = std::function<void(nn::Model&, const std::vector<UnitSelection>&)>;
 
 /// Installs (or, with an empty function, clears) the global validator.
 void set_plan_validator(PlanValidator validator);
@@ -67,9 +64,8 @@ void load_pruned_checkpoint(nn::Model& model, const std::map<std::string, Tensor
 ///  - selections expressed in *current* indices can be recorded
 ///    (`apply`), and
 ///  - the cumulative removal can be replayed onto a FRESH unpruned model
-///    (`removed_original`), which is how ClassAwarePruner rolls back an
-///    unrecoverable iteration and how pruned checkpoints are reloaded
-///    (see examples/resnet_pruning.cpp).
+///    (`removed_original`), which is how strategy::run_strategy rolls
+///    back an unrecoverable iteration.
 class PruneHistory {
  public:
   explicit PruneHistory(const nn::Model& model);

@@ -12,8 +12,9 @@ namespace capr::nn {
 /// matching the paper's training setup (lr 0.01, momentum 0.9, wd 5e-4).
 ///
 /// Momentum buffers are keyed by Param address; pruning surgery reallocates
-/// parameter tensors, after which `reset_state()` must be called (the
-/// ClassAwarePruner does this after every surgery step).
+/// parameter tensors, after which `reset_state()` must be called (or a
+/// fresh SGD used: nn::train builds one per call, which is how
+/// strategy::run_strategy fine-tunes after every surgery step).
 class SGD {
  public:
   struct Config {

@@ -186,24 +186,24 @@ Workbench prepare_workbench(const std::string& arch, int64_t classes,
   return wb;
 }
 
-core::ClassAwarePrunerConfig pruner_config(const ExperimentScale& scale) {
-  core::ClassAwarePrunerConfig cfg;
-  cfg.importance.images_per_class = scale.images_per_class_scoring;
-  cfg.importance.tau = scale.tau;
-  cfg.importance.tau_mode = scale.tau_mode;
-  cfg.importance.tau_quantile = scale.tau_quantile;
+PrunerConfig pruner_config(const ExperimentScale& scale) {
+  PrunerConfig cfg;
+  cfg.strategy.importance.images_per_class = scale.images_per_class_scoring;
+  cfg.strategy.importance.tau = scale.tau;
+  cfg.strategy.importance.tau_mode = scale.tau_mode;
+  cfg.strategy.importance.tau_quantile = scale.tau_quantile;
   cfg.strategy.mode = core::StrategyMode::kBoth;
-  cfg.strategy.max_fraction_per_iter = scale.max_fraction_per_iter;
-  cfg.strategy.max_layer_fraction_per_iter = scale.max_layer_fraction_per_iter;
-  cfg.strategy.min_filters_per_layer = 2;
-  cfg.finetune.epochs = scale.finetune_epochs;
-  cfg.finetune.batch_size = scale.batch_size;
-  cfg.finetune.sgd.lr = 0.02f;
-  cfg.finetune.sgd.momentum = 0.9f;
-  cfg.finetune.sgd.weight_decay = 5e-4f;
-  cfg.max_accuracy_drop = scale.max_accuracy_drop;
-  cfg.recovery_rounds = scale.recovery_rounds;
-  cfg.max_iterations = scale.max_iterations;
+  cfg.run.limits.max_fraction_per_iter = scale.max_fraction_per_iter;
+  cfg.run.limits.max_layer_fraction_per_iter = scale.max_layer_fraction_per_iter;
+  cfg.run.limits.min_filters_per_layer = 2;
+  cfg.run.finetune.epochs = scale.finetune_epochs;
+  cfg.run.finetune.batch_size = scale.batch_size;
+  cfg.run.finetune.sgd.lr = 0.02f;
+  cfg.run.finetune.sgd.momentum = 0.9f;
+  cfg.run.finetune.sgd.weight_decay = 5e-4f;
+  cfg.run.max_accuracy_drop = scale.max_accuracy_drop;
+  cfg.run.recovery_rounds = scale.recovery_rounds;
+  cfg.run.max_iterations = scale.max_iterations;
   return cfg;
 }
 

@@ -8,12 +8,14 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 
-#include "core/pruner.h"
 #include "data/synthetic.h"
 #include "models/builders.h"
 #include "nn/model.h"
+#include "strategy/class_aware.h"
+#include "strategy/runner.h"
 
 namespace capr::report {
 
@@ -86,10 +88,17 @@ Workbench prepare_workbench(const std::string& arch, int64_t classes,
                             const ExperimentScale& scale, float lambda1 = 1e-4f,
                             float lambda2 = 1e-2f, uint64_t seed = 42);
 
-/// Class-aware pruner configuration matching `scale` and the paper's
-/// strategy defaults (threshold 0.3*C, 10%/iteration, modified-loss
-/// fine-tuning).
-core::ClassAwarePrunerConfig pruner_config(const ExperimentScale& scale);
+/// A class-aware pruning run: the strategy (scoring, selection mode,
+/// fine-tuning loss) and the driver settings run_strategy takes.
+struct PrunerConfig {
+  strategy::ClassAwareStrategyConfig strategy;
+  strategy::StrategyRunConfig run;
+};
+
+/// Class-aware configuration matching `scale` and the paper's strategy
+/// defaults (threshold 0.3*C, 10%/iteration, modified-loss fine-tuning,
+/// recovery rounds). The caller sets run.model_factory for rollback.
+PrunerConfig pruner_config(const ExperimentScale& scale);
 
 /// Standard bench banner: experiment id, paper reference and scale note.
 void print_banner(const std::string& experiment, const std::string& what);

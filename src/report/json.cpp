@@ -128,32 +128,6 @@ std::string JsonValue::dump() const {
   return "null";
 }
 
-JsonValue to_json(const core::IterationRecord& rec) {
-  JsonValue v = JsonValue::object();
-  v.set("iteration", JsonValue::number(static_cast<int64_t>(rec.iteration)));
-  v.set("filters_removed", JsonValue::number(rec.filters_removed));
-  v.set("filters_remaining", JsonValue::number(rec.filters_remaining));
-  v.set("accuracy", JsonValue::number(static_cast<double>(rec.accuracy_after_finetune)));
-  v.set("params", JsonValue::number(rec.params));
-  v.set("flops", JsonValue::number(rec.flops));
-  return v;
-}
-
-JsonValue to_json(const core::PruneRunResult& res) {
-  JsonValue v = JsonValue::object();
-  v.set("original_accuracy", JsonValue::number(static_cast<double>(res.original_accuracy)));
-  v.set("final_accuracy", JsonValue::number(static_cast<double>(res.final_accuracy)));
-  v.set("pruning_ratio", JsonValue::number(res.report.pruning_ratio()));
-  v.set("flops_reduction", JsonValue::number(res.report.flops_reduction()));
-  v.set("params_before", JsonValue::number(res.report.params_before));
-  v.set("params_after", JsonValue::number(res.report.params_after));
-  v.set("stop_reason", JsonValue::string(res.stop_reason));
-  JsonValue iters = JsonValue::array();
-  for (const core::IterationRecord& rec : res.iterations) iters.push_back(to_json(rec));
-  v.set("iterations", std::move(iters));
-  return v;
-}
-
 JsonValue to_json(const hw::ModelSim& sim) {
   JsonValue v = JsonValue::object();
   v.set("total_cycles", JsonValue::number(sim.total_cycles));

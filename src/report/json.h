@@ -10,7 +10,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/pruner.h"
 #include "hw/systolic.h"
 
 namespace capr::report {
@@ -51,9 +50,7 @@ class JsonValue {
 /// JSON string escaping (quotes, backslash, control characters).
 std::string json_escape(const std::string& s);
 
-/// Serialisers for the main result structs.
-JsonValue to_json(const core::IterationRecord& rec);
-JsonValue to_json(const core::PruneRunResult& res);
+/// Serialiser for the systolic-array simulation result.
 JsonValue to_json(const hw::ModelSim& sim);
 
 }  // namespace capr::report

@@ -5,9 +5,9 @@
 // try_push fails fast when the queue is full so callers can reject the
 // request instead of letting latency grow without limit.
 //
-// Every item carries a Ticket {tenant, priority}. The plain bool push
-// API uses the default ticket (tenant 0, priority 0), which degenerates
-// to the original strict-FIFO queue. With tickets:
+// Every item carries a Ticket {tenant, priority}. The default ticket
+// (tenant 0, priority 0) everywhere degenerates to a strict-FIFO queue.
+// With tickets:
 //
 //   - **Priorities.** pop() serves the highest priority first, FIFO
 //     within a priority level. To bound starvation, the globally oldest
@@ -115,14 +115,6 @@ class BoundedQueue {
     }
     not_empty_.notify_one();
     return PushStatus::kOk;
-  }
-
-  /// Legacy bool API: default ticket, true on kOk.
-  bool try_push(T&& item) CAPR_EXCLUDES(mu_) {
-    return try_push(std::move(item), Ticket{}) == PushStatus::kOk;
-  }
-  bool push(T&& item) CAPR_EXCLUDES(mu_) {
-    return push(std::move(item), Ticket{}) == PushStatus::kOk;
   }
 
   /// Blocking pop. Returns nullopt only when the queue is closed AND

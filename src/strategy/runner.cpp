@@ -1,5 +1,6 @@
 #include "strategy/runner.h"
 
+#include <map>
 #include <stdexcept>
 
 #include "analysis/analyzer.h"
@@ -20,6 +21,8 @@ StrategyRunResult run_strategy(nn::Model& model, PruneStrategy& strat,
   result.original_accuracy = nn::evaluate(model, test_set);
   result.stop_reason = "max iterations reached";
 
+  const bool can_rollback = static_cast<bool>(cfg.model_factory);
+  core::PruneHistory history(model);
   float accuracy = result.original_accuracy;
   for (int iter = 0; iter < cfg.max_iterations; ++iter) {
     const graph::ModuleGraph graph = graph::ModuleGraph::build(model);
@@ -39,32 +42,55 @@ StrategyRunResult run_strategy(nn::Model& model, PruneStrategy& strat,
       opts.strategy = &scfg;
       analysis::require_ok(analysis::analyze_plan(model, selection, opts));
     }
-    result.filters_removed += core::apply_selection(model, selection);
+
+    // Snapshot for rollback before mutating the model.
+    std::map<std::string, Tensor> weights_snapshot;
+    std::vector<std::vector<int64_t>> kept_snapshot;
+    if (can_rollback) {
+      weights_snapshot = model.state_dict();
+      kept_snapshot = history.snapshot();
+    }
+    const int64_t removed = core::apply_selection(model, selection);
+    history.apply(selection);
 
     nn::TrainConfig ft = cfg.finetune;
     ft.loader_seed = cfg.finetune.loader_seed + static_cast<uint64_t>(iter) + 1;
     nn::train(model, train_set, ft, strat.train_regularizer());
-    accuracy = nn::evaluate(model, test_set);
-    result.iterations_run = iter + 1;
-
-    if (cfg.on_iteration) {
-      const flops::ModelCost cost_now = flops::count(model);
-      core::IterationRecord rec;
-      rec.iteration = iter;
-      rec.filters_removed = core::selection_size(selection);
-      rec.filters_remaining = core::total_prunable_filters(model);
-      rec.accuracy_after_finetune = accuracy;
-      rec.params = cost_now.total_params;
-      rec.flops = cost_now.total_flops;
-      cfg.on_iteration(rec);
+    float new_accuracy = nn::evaluate(model, test_set);
+    for (int round = 0; round < cfg.recovery_rounds &&
+                        result.original_accuracy - new_accuracy > cfg.max_accuracy_drop;
+         ++round) {
+      ft.loader_seed += 7919;
+      nn::train(model, train_set, ft, strat.train_regularizer());
+      new_accuracy = nn::evaluate(model, test_set);
     }
 
-    if (result.original_accuracy - accuracy > cfg.max_accuracy_drop) {
-      result.stop_reason = "accuracy drop not recovered by fine-tuning";
+    const bool unrecovered = result.original_accuracy - new_accuracy > cfg.max_accuracy_drop;
+    if (unrecovered) result.stop_reason = "accuracy drop not recovered by fine-tuning";
+    if (unrecovered && can_rollback) {
+      history.restore(std::move(kept_snapshot));
+      nn::Model fresh = cfg.model_factory();
+      const auto removed_orig = history.removed_original();
+      for (size_t u = 0; u < removed_orig.size(); ++u) {
+        if (!removed_orig[u].empty()) core::remove_filters(fresh, u, removed_orig[u]);
+      }
+      fresh.load_state_dict(weights_snapshot);
+      model = std::move(fresh);
+      result.stop_reason += " (iteration rolled back)";
       break;
     }
+
+    accuracy = new_accuracy;
+    result.filters_removed += removed;
+    const flops::ModelCost cost_now = flops::count(model);
+    const IterationRecord rec{iter,         removed, core::total_prunable_filters(model),
+                              new_accuracy, cost_now.total_params, cost_now.total_flops};
+    if (cfg.on_iteration) cfg.on_iteration(rec);
+    result.iterations.push_back(rec);
+    if (unrecovered) break;
   }
 
+  result.iterations_run = static_cast<int>(result.iterations.size());
   result.final_accuracy = accuracy;
   result.report = flops::compare(cost_before, flops::count(model));
   return result;

@@ -14,6 +14,16 @@ std::vector<PrunableGroup> prunable_groups(const StrategyContext& ctx) {
   return out;
 }
 
+ScoreSet admitted_scores(const StrategyContext& ctx,
+                         const std::vector<std::vector<float>>& per_unit) {
+  ScoreSet out;
+  out.num_classes = ctx.train_set.num_classes();
+  for (const PrunableGroup& pg : prunable_groups(ctx)) {
+    out.groups.push_back({pg.unit_index, pg.group->name, per_unit.at(pg.unit_index)});
+  }
+  return out;
+}
+
 core::PruneStrategyConfig selection_config(const PruneStrategy& strat,
                                            const core::SelectionLimits& limits) {
   core::PruneStrategyConfig cfg;

@@ -1,13 +1,11 @@
 // The graph-driven pruning strategy interface.
 //
-// Historically the repo had two parallel pruning drivers: the
-// class-aware path (core::ClassAwarePruner over ImportanceResult) and
-// the baseline path (baselines::BaselinePruner over flat per-unit score
-// vectors), each with its own copy of the selection machinery. This
-// library collapses them: a PruneStrategy consumes the model together
-// with its graph::ModuleGraph, scores each prunable CouplingGroup, and
-// every method's scores flow through the ONE selection engine
-// (core::select_scored) under the same SelectionLimits.
+// Every pruning method — the class-aware criterion, the baseline
+// criteria of Fig. 6 and the tournament competitors — is a
+// PruneStrategy: it consumes the model together with its
+// graph::ModuleGraph, scores each prunable CouplingGroup, and its scores
+// flow through the ONE selection engine (core::select_scored) under the
+// same SelectionLimits, driven by the one loop in strategy/runner.h.
 //
 // The graph is the source of truth for what may be pruned: groups that
 // are residual-constrained or consumer-less are filtered out BEFORE
@@ -97,6 +95,14 @@ struct PrunableGroup {
 /// (hand-annotated units on constrained convs) are dropped — this is
 /// the residual-constraint filter every strategy inherits.
 std::vector<PrunableGroup> prunable_groups(const StrategyContext& ctx);
+
+/// Scores for strategies that score every model.units entry
+/// positionally (per_unit[u][f] for filter f of unit u): keeps the
+/// entries of the groups prunable_groups admits, so such a scorer
+/// inherits the residual-constraint filter. num_classes comes from
+/// ctx.train_set.
+ScoreSet admitted_scores(const StrategyContext& ctx,
+                         const std::vector<std::vector<float>>& per_unit);
 
 /// The selection config a strategy + limits pair implies (what the
 /// engine and the analyzer certify against).

@@ -14,7 +14,6 @@
 #include "baselines/activation.h"
 #include "baselines/magnitude.h"
 #include "baselines/regularized.h"
-#include "baselines/strategy_adapter.h"
 #include "serve/server.h"
 #include "serve/session.h"
 #include "tensor/gemm_tiled.h"
@@ -108,16 +107,13 @@ std::unique_ptr<strategy::PruneStrategy> make_strategy(const std::string& name,
     return std::make_unique<strategy::ClassAwareStrategy>(cfg.class_aware);
   }
   if (name == "magnitude") {
-    return std::make_unique<baselines::CriterionStrategy>(
-        std::make_unique<baselines::L1Criterion>());
+    return std::make_unique<baselines::L1Strategy>();
   }
   if (name == "activation") {
-    return std::make_unique<baselines::CriterionStrategy>(
-        std::make_unique<baselines::TaylorFOCriterion>(cfg.criterion_images_per_class));
+    return std::make_unique<baselines::TaylorFOStrategy>(cfg.criterion_images_per_class);
   }
   if (name == "regularized") {
-    return std::make_unique<baselines::CriterionStrategy>(
-        std::make_unique<baselines::SSSCriterion>());
+    return std::make_unique<baselines::SSSStrategy>();
   }
   if (name == "unstructured-equiv") {
     return std::make_unique<strategy::UnstructuredEquivalentStrategy>(cfg.unstructured);

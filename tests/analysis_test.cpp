@@ -5,7 +5,7 @@
 
 #include "analysis/analyzer.h"
 #include "analysis/checked.h"
-#include "core/pruner.h"
+#include "core/surgeon.h"
 #include "data/synthetic.h"
 #include "models/builders.h"
 #include "nn/depgraph.h"
@@ -332,24 +332,6 @@ TEST(CheckedModeTest, ApplySelectionAcceptsLegalPlan) {
   EXPECT_EQ(m.units[0].conv->out_channels(), before - 2);
   const Tensor x({2, 3, 8, 8}, 0.25f);
   EXPECT_NO_THROW(m.forward(x, false));
-}
-
-TEST(CheckedModeTest, PrunerStepEnforcesStrategyCaps) {
-  CheckedModeGuard guard;
-  nn::Model m = wide_tiny();
-  core::ClassAwarePrunerConfig cfg;
-  cfg.strategy.max_fraction_per_iter = 0.10f;  // cap: 9 of 96
-  cfg.strategy.max_layer_fraction_per_iter = 1.0f;
-  core::ClassAwarePruner pruner(cfg);
-  std::vector<int64_t> sixteen;
-  for (int64_t f = 0; f < 16; ++f) sixteen.push_back(f);
-  const int64_t before = m.units[0].conv->out_channels();
-  EXPECT_THROW(pruner.step(m, {{0, sixteen}}), AnalysisError);
-  EXPECT_EQ(m.units[0].conv->out_channels(), before);
-  // A cap-respecting plan passes and is recorded in the history.
-  core::PruneHistory history(m);
-  EXPECT_EQ(pruner.step(m, {{0, {0, 2}}}, &history), 2);
-  EXPECT_EQ(history.removed_original()[0], (std::vector<int64_t>{0, 2}));
 }
 
 TEST(CheckedModeTest, TrainFailsFastOnIllFormedModel) {

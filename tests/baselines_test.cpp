@@ -1,12 +1,13 @@
 #include <gtest/gtest.h>
 
 #include "baselines/activation.h"
-#include "baselines/baseline_pruner.h"
 #include "baselines/magnitude.h"
 #include "baselines/regularized.h"
 #include "data/synthetic.h"
+#include "graph/graph.h"
 #include "models/builders.h"
 #include "nn/trainer.h"
+#include "strategy/runner.h"
 #include "test_util.h"
 
 namespace capr::baselines {
@@ -29,16 +30,22 @@ struct Fixture {
     dcfg.image_size = 8;
     data = data::make_synthetic_cifar(dcfg);
   }
+
+  /// Scores through the PruneStrategy interface on the model's graph.
+  strategy::ScoreSet score(strategy::PruneStrategy& strat) {
+    const graph::ModuleGraph g = graph::ModuleGraph::build(model);
+    return strat.score({model, g, data.train});
+  }
 };
 
 TEST(BalancedSampleTest, OnePerClass) {
   Fixture f;
-  const data::Batch b = balanced_sample(f.data.train, 2, 1);
+  const data::Batch b = data::balanced_sample(f.data.train, 2, 1);
   EXPECT_EQ(b.size(), 6);
   std::vector<int64_t> counts(3, 0);
   for (int64_t lbl : b.labels) ++counts[static_cast<size_t>(lbl)];
   for (int64_t c : counts) EXPECT_EQ(c, 2);
-  EXPECT_THROW(balanced_sample(f.data.train, 0, 1), std::invalid_argument);
+  EXPECT_THROW(data::balanced_sample(f.data.train, 0, 1), std::invalid_argument);
 }
 
 TEST(MatrixRankTest, KnownRanks) {
@@ -52,7 +59,7 @@ TEST(MatrixRankTest, KnownRanks) {
   EXPECT_EQ(matrix_rank(rect, 2, 3, 1e-5f), 2);
 }
 
-TEST(L1CriterionTest, RanksByMagnitude) {
+TEST(L1StrategyTest, RanksByMagnitude) {
   Fixture f;
   nn::Conv2d* conv = f.model.units[0].conv;
   conv->weight().value.fill(0.0f);
@@ -61,33 +68,37 @@ TEST(L1CriterionTest, RanksByMagnitude) {
   for (int64_t k = 0; k < conv->out_channels(); ++k) {
     conv->weight().value[k * fsz] = static_cast<float>(k + 1);
   }
-  L1Criterion crit;
-  const auto scores = crit.score(f.model, f.data.train);
+  L1Strategy l1;
+  const std::vector<float> scores = f.score(l1).groups.at(0).total;
   for (int64_t k = 0; k + 1 < conv->out_channels(); ++k) {
-    EXPECT_LT(scores[0][static_cast<size_t>(k)], scores[0][static_cast<size_t>(k + 1)]);
+    EXPECT_LT(scores[static_cast<size_t>(k)], scores[static_cast<size_t>(k + 1)]);
   }
 }
 
-TEST(CriteriaShapesTest, AllCriteriaReturnPerFilterScores) {
+TEST(BaselineShapesTest, AllBaselinesReturnPerFilterScores) {
   Fixture f;
-  L1Criterion l1;
-  L2Criterion l2;
-  DepGraphCriterion dg_full(true), dg_no(false);
-  SSSCriterion sss;
-  OrthConvCriterion orth;
-  TPPCriterion tpp(2);
-  APoZCriterion apoz(2);
-  HRankCriterion hrank(2);
-  TaylorFOCriterion taylor(2);
-  for (Criterion* c : std::initializer_list<Criterion*>{&l1, &l2, &dg_full, &dg_no, &sss,
-                                                        &orth, &tpp, &apoz, &hrank, &taylor}) {
-    const auto scores = c->score(f.model, f.data.train);
-    ASSERT_EQ(scores.size(), f.model.units.size()) << c->name();
-    for (size_t u = 0; u < scores.size(); ++u) {
-      EXPECT_EQ(scores[u].size(),
+  L1Strategy l1;
+  L2Strategy l2;
+  DepGraphStrategy dg_full(true), dg_no(false);
+  SSSStrategy sss;
+  OrthConvStrategy orth;
+  TPPStrategy tpp(2);
+  APoZStrategy apoz(2);
+  HRankStrategy hrank(2);
+  TaylorFOStrategy taylor(2);
+  for (strategy::PruneStrategy* c : std::initializer_list<strategy::PruneStrategy*>{
+           &l1, &l2, &dg_full, &dg_no, &sss, &orth, &tpp, &apoz, &hrank, &taylor}) {
+    const strategy::ScoreSet scores = f.score(*c);
+    EXPECT_EQ(scores.num_classes, 3) << c->name();
+    EXPECT_EQ(c->mode(), core::StrategyMode::kPercentage) << c->name();
+    // Every unit of the tiny CNN is admitted by its graph, in unit order.
+    ASSERT_EQ(scores.groups.size(), f.model.units.size()) << c->name();
+    for (size_t u = 0; u < scores.groups.size(); ++u) {
+      EXPECT_EQ(scores.groups[u].unit_index, u) << c->name();
+      EXPECT_EQ(scores.groups[u].total.size(),
                 static_cast<size_t>(f.model.units[u].conv->out_channels()))
           << c->name();
-      for (float s : scores[u]) {
+      for (float s : scores.groups[u].total) {
         EXPECT_GE(s, 0.0f) << c->name();
         EXPECT_FALSE(std::isnan(s)) << c->name();
       }
@@ -107,26 +118,24 @@ TEST(DepGraphTest, FullGroupingCountsConsumerNorms) {
   const int64_t kk = consumer->kernel() * consumer->kernel();
   consumer->weight().value[0 * consumer->in_channels() * kk + 0 * kk] = 2.0f;
 
-  DepGraphCriterion no_group(false), full_group(true);
-  const auto sn = no_group.score(f.model, f.data.train);
-  const auto sf = full_group.score(f.model, f.data.train);
-  EXPECT_FLOAT_EQ(sn[0][0], 0.0f);
-  EXPECT_GT(sf[0][0], 1.0f);
+  DepGraphStrategy no_group(false), full_group(true);
+  EXPECT_FLOAT_EQ(f.score(no_group).groups.at(0).total[0], 0.0f);
+  EXPECT_GT(f.score(full_group).groups.at(0).total[0], 1.0f);
 }
 
-TEST(SSSCriterionTest, ScoresAreGammaMagnitudes) {
+TEST(SSSStrategyTest, ScoresAreGammaMagnitudes) {
   Fixture f;
   f.model.units[0].bn->gamma().value[0] = -0.25f;
   f.model.units[0].bn->gamma().value[1] = 0.75f;
-  SSSCriterion sss;
-  const auto scores = sss.score(f.model, f.data.train);
-  EXPECT_FLOAT_EQ(scores[0][0], 0.25f);
-  EXPECT_FLOAT_EQ(scores[0][1], 0.75f);
+  SSSStrategy sss;
+  const std::vector<float> scores = f.score(sss).groups.at(0).total;
+  EXPECT_FLOAT_EQ(scores[0], 0.25f);
+  EXPECT_FLOAT_EQ(scores[1], 0.75f);
 }
 
-TEST(SSSCriterionTest, RegularizerSparsifiesGammas) {
+TEST(SSSStrategyTest, RegularizerSparsifiesGammas) {
   Fixture f;
-  SSSCriterion sss(0.05f);
+  SSSStrategy sss(0.05f);
   nn::Regularizer* reg = sss.train_regularizer();
   ASSERT_NE(reg, nullptr);
   for (nn::Param* p : f.model.params()) p->zero_grad();
@@ -144,26 +153,26 @@ TEST(APoZTest, DeadChannelGetsLowScore) {
   for (int64_t i = 0; i < fsz; ++i) u.conv->weight().value[i] = 0.0f;
   u.bn->gamma().value[0] = 0.0f;
   u.bn->beta().value[0] = -1.0f;  // pushes pre-ReLU negative
-  APoZCriterion apoz(3);
-  const auto scores = apoz.score(f.model, f.data.train);
-  EXPECT_NEAR(scores[0][0], 0.0f, 1e-5f);
+  APoZStrategy apoz(3);
+  const std::vector<float> scores = f.score(apoz).groups.at(0).total;
+  EXPECT_NEAR(scores[0], 0.0f, 1e-5f);
   // Some other channel fires on real data.
   float best = 0.0f;
-  for (float s : scores[0]) best = std::max(best, s);
+  for (float s : scores) best = std::max(best, s);
   EXPECT_GT(best, 0.1f);
 }
 
 TEST(HRankTest, ConstantMapHasRankOne) {
   Fixture f;
-  HRankCriterion hrank(2);
-  const auto scores = hrank.score(f.model, f.data.train);
-  for (float s : scores[0]) {
+  HRankStrategy hrank(2);
+  const std::vector<float> scores = f.score(hrank).groups.at(0).total;
+  for (float s : scores) {
     EXPECT_GE(s, 0.0f);
     EXPECT_LE(s, 8.0f);  // bounded by the feature-map side
   }
 }
 
-TEST(BaselinePrunerTest, EndToEndWithL1) {
+TEST(BaselineRunTest, EndToEndWithL1) {
   Fixture f;
   nn::TrainConfig tcfg;
   tcfg.epochs = 8;
@@ -171,29 +180,29 @@ TEST(BaselinePrunerTest, EndToEndWithL1) {
   tcfg.sgd.lr = 0.05f;
   nn::train(f.model, f.data.train, tcfg);
 
-  BaselinePrunerConfig cfg;
-  cfg.max_fraction_per_iter = 0.2f;
+  strategy::StrategyRunConfig cfg;
+  cfg.limits.max_fraction_per_iter = 0.2f;
   cfg.max_iterations = 3;
   cfg.max_accuracy_drop = 0.3f;
   cfg.finetune.epochs = 2;
   cfg.finetune.batch_size = 12;
   cfg.finetune.sgd.lr = 0.02f;
-  BaselinePruner pruner(cfg);
-  L1Criterion crit;
-  const BaselineRunResult res = pruner.run(f.model, crit, f.data.train, f.data.test);
+  L1Strategy l1;
+  const strategy::StrategyRunResult res =
+      strategy::run_strategy(f.model, l1, f.data.train, f.data.test, cfg);
   EXPECT_EQ(res.method, "L1");
   EXPECT_GT(res.report.pruning_ratio(), 0.0);
   EXPECT_GT(res.iterations_run, 0);
   EXPECT_FALSE(res.stop_reason.empty());
 }
 
-TEST(BaselinePrunerTest, RejectsBadFraction) {
+TEST(BaselineRunTest, RejectsBadFraction) {
   Fixture f;
-  BaselinePrunerConfig cfg;
-  cfg.max_fraction_per_iter = 0.0f;
-  BaselinePruner pruner(cfg);
-  L1Criterion crit;
-  EXPECT_THROW(pruner.run(f.model, crit, f.data.train, f.data.test), std::invalid_argument);
+  strategy::StrategyRunConfig cfg;
+  cfg.limits.max_fraction_per_iter = 0.0f;
+  L1Strategy l1;
+  EXPECT_THROW(strategy::run_strategy(f.model, l1, f.data.train, f.data.test, cfg),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -4,11 +4,13 @@
 
 #include <cmath>
 
-#include "core/pruner.h"
+#include "core/surgeon.h"
 #include "data/synthetic.h"
 #include "flops/flops.h"
 #include "models/builders.h"
 #include "nn/trainer.h"
+#include "strategy/class_aware.h"
+#include "strategy/runner.h"
 
 namespace capr {
 namespace {
@@ -54,18 +56,20 @@ TEST(IntegrationTest, RollbackRestoresLastGoodModel) {
   const float baseline = nn::evaluate(m, s.data.test);
   const int64_t params_before = m.parameter_count();
 
-  core::ClassAwarePrunerConfig cfg;
-  cfg.importance.images_per_class = 4;
-  cfg.importance.tau_mode = core::TauMode::kQuantile;
-  cfg.strategy.mode = core::StrategyMode::kPercentage;
-  cfg.strategy.max_fraction_per_iter = 0.5f;  // brutal, guarantees a drop
-  cfg.finetune.epochs = 0;                    // no recovery allowed
-  cfg.max_accuracy_drop = -1.0f;              // any outcome violates the bound
+  strategy::ClassAwareStrategyConfig scfg;
+  scfg.importance.images_per_class = 4;
+  scfg.importance.tau_mode = core::TauMode::kQuantile;
+  scfg.mode = core::StrategyMode::kPercentage;
+  strategy::StrategyRunConfig cfg;
+  cfg.limits.max_fraction_per_iter = 0.5f;  // brutal, guarantees a drop
+  cfg.finetune.epochs = 0;                  // no recovery allowed
+  cfg.max_accuracy_drop = -1.0f;            // any outcome violates the bound
   cfg.max_iterations = 3;
   cfg.model_factory = [&s] { return models::make_model("tiny", s.mcfg); };
 
-  core::ClassAwarePruner pruner(cfg);
-  const core::PruneRunResult res = pruner.run(m, s.data.train, s.data.test);
+  strategy::ClassAwareStrategy strat(scfg);
+  const strategy::StrategyRunResult res =
+      strategy::run_strategy(m, strat, s.data.train, s.data.test, cfg);
 
   EXPECT_NE(res.stop_reason.find("rolled back"), std::string::npos);
   // The violating iteration was undone: shapes and accuracy match baseline.
@@ -80,20 +84,23 @@ TEST(IntegrationTest, RollbackAfterSuccessfulIterationsKeepsThem) {
   PipelineEnv s;
   nn::Model m = s.trained();
 
-  core::ClassAwarePrunerConfig cfg;
-  cfg.importance.images_per_class = 4;
-  cfg.importance.tau_mode = core::TauMode::kQuantile;
-  cfg.strategy.mode = core::StrategyMode::kPercentage;
-  cfg.strategy.max_fraction_per_iter = 0.15f;
+  strategy::ClassAwareStrategyConfig scfg;
+  scfg.importance.images_per_class = 4;
+  scfg.importance.tau_mode = core::TauMode::kQuantile;
+  scfg.mode = core::StrategyMode::kPercentage;
+  strategy::StrategyRunConfig cfg;
+  cfg.limits.max_fraction_per_iter = 0.15f;
   cfg.finetune.epochs = 2;
   cfg.finetune.batch_size = 16;
   cfg.finetune.sgd.lr = 0.02f;
+  cfg.recovery_rounds = 2;
   cfg.max_accuracy_drop = 0.3f;
   cfg.max_iterations = 4;
   cfg.model_factory = [&s] { return models::make_model("tiny", s.mcfg); };
 
-  core::ClassAwarePruner pruner(cfg);
-  const core::PruneRunResult res = pruner.run(m, s.data.train, s.data.test);
+  strategy::ClassAwareStrategy strat(scfg);
+  const strategy::StrategyRunResult res =
+      strategy::run_strategy(m, strat, s.data.train, s.data.test, cfg);
   // Whatever the stop reason, the reported model satisfies the bound.
   EXPECT_GE(res.final_accuracy, res.original_accuracy - cfg.max_accuracy_drop - 1e-6f);
   if (!res.iterations.empty()) {
@@ -117,17 +124,19 @@ TEST(IntegrationTest, TwoArchitecturesShareOnePipeline) {
   PipelineEnv s;
   for (const char* arch : {"tiny", "resnet20"}) {
     nn::Model m = s.trained(arch);
-    core::ClassAwarePrunerConfig cfg;
-    cfg.importance.images_per_class = 3;
-    cfg.importance.tau_mode = core::TauMode::kQuantile;
-    cfg.strategy.mode = core::StrategyMode::kPercentage;
-    cfg.strategy.max_fraction_per_iter = 0.2f;
+    strategy::ClassAwareStrategyConfig scfg;
+    scfg.importance.images_per_class = 3;
+    scfg.importance.tau_mode = core::TauMode::kQuantile;
+    scfg.mode = core::StrategyMode::kPercentage;
+    strategy::StrategyRunConfig cfg;
+    cfg.limits.max_fraction_per_iter = 0.2f;
     cfg.finetune.epochs = 1;
     cfg.finetune.batch_size = 16;
+    cfg.recovery_rounds = 2;
     cfg.max_accuracy_drop = 0.5f;
     cfg.max_iterations = 2;
-    core::ClassAwarePruner pruner(cfg);
-    const auto res = pruner.run(m, s.data.train, s.data.test);
+    strategy::ClassAwareStrategy strat(scfg);
+    const auto res = strategy::run_strategy(m, strat, s.data.train, s.data.test, cfg);
     EXPECT_GT(res.report.pruning_ratio(), 0.0) << arch;
   }
 }

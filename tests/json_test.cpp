@@ -39,23 +39,6 @@ TEST(JsonValueTest, KindErrors) {
   EXPECT_THROW(obj.push_back(JsonValue::null()), std::logic_error);
 }
 
-TEST(JsonSerializersTest, PruneRunResultRoundTripsKeys) {
-  core::PruneRunResult res;
-  res.original_accuracy = 0.9f;
-  res.final_accuracy = 0.88f;
-  res.report.params_before = 100;
-  res.report.params_after = 40;
-  res.report.flops_before = 1000;
-  res.report.flops_after = 600;
-  res.stop_reason = "max iterations reached";
-  res.iterations.push_back({0, 5, 20, 0.89f, 70, 800});
-  const std::string out = to_json(res).dump();
-  EXPECT_NE(out.find("\"pruning_ratio\":0.6"), std::string::npos);
-  EXPECT_NE(out.find("\"flops_reduction\":0.4"), std::string::npos);
-  EXPECT_NE(out.find("\"stop_reason\":\"max iterations reached\""), std::string::npos);
-  EXPECT_NE(out.find("\"filters_removed\":5"), std::string::npos);
-}
-
 TEST(JsonSerializersTest, ModelSimSerialises) {
   hw::ModelSim sim;
   sim.total_cycles = 1000;

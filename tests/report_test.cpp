@@ -88,12 +88,15 @@ TEST(ScaleTest, PrunerConfigMirrorsScale) {
   s.max_accuracy_drop = 0.11f;
   s.max_iterations = 13;
   s.finetune_epochs = 3;
-  const core::ClassAwarePrunerConfig cfg = pruner_config(s);
-  EXPECT_EQ(cfg.importance.images_per_class, 7);
-  EXPECT_FLOAT_EQ(cfg.strategy.max_fraction_per_iter, 0.33f);
-  EXPECT_FLOAT_EQ(cfg.max_accuracy_drop, 0.11f);
-  EXPECT_EQ(cfg.max_iterations, 13);
-  EXPECT_EQ(cfg.finetune.epochs, 3);
+  s.recovery_rounds = 4;
+  const PrunerConfig cfg = pruner_config(s);
+  EXPECT_EQ(cfg.strategy.importance.images_per_class, 7);
+  EXPECT_FLOAT_EQ(cfg.run.limits.max_fraction_per_iter, 0.33f);
+  EXPECT_FLOAT_EQ(cfg.run.max_accuracy_drop, 0.11f);
+  EXPECT_EQ(cfg.run.max_iterations, 13);
+  EXPECT_EQ(cfg.run.finetune.epochs, 3);
+  EXPECT_EQ(cfg.run.recovery_rounds, 4);
+  EXPECT_FALSE(cfg.run.model_factory);
 }
 
 TEST(WorkbenchTest, FactoryRebuildsMatchingShapes) {

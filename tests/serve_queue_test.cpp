@@ -27,7 +27,7 @@ namespace {
 
 TEST(BoundedQueueTest, PopsInFifoOrder) {
   BoundedQueue<int> q(8);
-  for (int i = 0; i < 5; ++i) EXPECT_TRUE(q.try_push(int{i}));
+  for (int i = 0; i < 5; ++i) EXPECT_EQ(q.try_push(int{i}, Ticket{}), PushStatus::kOk);
   for (int i = 0; i < 5; ++i) {
     const auto v = q.pop();
     ASSERT_TRUE(v.has_value());
@@ -37,20 +37,20 @@ TEST(BoundedQueueTest, PopsInFifoOrder) {
 
 TEST(BoundedQueueTest, TryPushFailsWhenFull) {
   BoundedQueue<int> q(2);
-  EXPECT_TRUE(q.try_push(1));
-  EXPECT_TRUE(q.try_push(2));
-  EXPECT_FALSE(q.try_push(3));
+  EXPECT_EQ(q.try_push(1, Ticket{}), PushStatus::kOk);
+  EXPECT_EQ(q.try_push(2, Ticket{}), PushStatus::kOk);
+  EXPECT_EQ(q.try_push(3, Ticket{}), PushStatus::kFull);
   EXPECT_EQ(q.size(), 2u);
   // Popping frees a slot.
   EXPECT_EQ(q.pop().value(), 1);
-  EXPECT_TRUE(q.try_push(3));
+  EXPECT_EQ(q.try_push(3, Ticket{}), PushStatus::kOk);
 }
 
 TEST(BoundedQueueTest, FailedTryPushDoesNotConsumeItem) {
   BoundedQueue<std::vector<int>> q(1);
-  EXPECT_TRUE(q.try_push({1}));
+  EXPECT_EQ(q.try_push({1}, Ticket{}), PushStatus::kOk);
   std::vector<int> item{2, 3, 4};
-  EXPECT_FALSE(q.try_push(std::move(item)));
+  EXPECT_EQ(q.try_push(std::move(item), Ticket{}), PushStatus::kFull);
   // Moved-from only on success: the caller still owns the payload.
   EXPECT_EQ(item.size(), 3u);
 }
@@ -58,16 +58,16 @@ TEST(BoundedQueueTest, FailedTryPushDoesNotConsumeItem) {
 TEST(BoundedQueueTest, ZeroCapacityIsClampedToOne) {
   BoundedQueue<int> q(0);
   EXPECT_EQ(q.capacity(), 1u);
-  EXPECT_TRUE(q.try_push(1));
-  EXPECT_FALSE(q.try_push(2));
+  EXPECT_EQ(q.try_push(1, Ticket{}), PushStatus::kOk);
+  EXPECT_EQ(q.try_push(2, Ticket{}), PushStatus::kFull);
 }
 
 TEST(BoundedQueueTest, CloseDrainsThenReturnsNullopt) {
   BoundedQueue<int> q(8);
-  EXPECT_TRUE(q.try_push(1));
-  EXPECT_TRUE(q.try_push(2));
+  EXPECT_EQ(q.try_push(1, Ticket{}), PushStatus::kOk);
+  EXPECT_EQ(q.try_push(2, Ticket{}), PushStatus::kOk);
   q.close();
-  EXPECT_FALSE(q.try_push(3));
+  EXPECT_EQ(q.try_push(3, Ticket{}), PushStatus::kClosed);
   // Accepted items are still delivered after close...
   EXPECT_EQ(q.pop().value(), 1);
   EXPECT_EQ(q.pop().value(), 2);
@@ -85,8 +85,8 @@ TEST(BoundedQueueTest, CloseWakesBlockedPop) {
 
 TEST(BoundedQueueTest, CloseWakesBlockedPush) {
   BoundedQueue<int> q(1);
-  ASSERT_TRUE(q.try_push(1));
-  std::thread pusher([&] { EXPECT_FALSE(q.push(2)); });
+  ASSERT_EQ(q.try_push(1, Ticket{}), PushStatus::kOk);
+  std::thread pusher([&] { EXPECT_EQ(q.push(2, Ticket{}), PushStatus::kClosed); });
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
   q.close();
   pusher.join();
@@ -94,7 +94,7 @@ TEST(BoundedQueueTest, CloseWakesBlockedPush) {
 
 TEST(BoundedQueueTest, DrainIntoCoalescesWithoutBlocking) {
   BoundedQueue<int> q(16);
-  for (int i = 0; i < 6; ++i) ASSERT_TRUE(q.try_push(int{i}));
+  for (int i = 0; i < 6; ++i) ASSERT_EQ(q.try_push(int{i}, Ticket{}), PushStatus::kOk);
   std::vector<int> batch;
   batch.push_back(q.pop().value());
   q.drain_into(batch, 4);
@@ -119,7 +119,7 @@ TEST(BoundedQueueTest, DrainUntilPicksUpLateArrivals) {
   std::vector<int> batch;
   std::thread producer([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    q.push(7);
+    q.push(7, Ticket{});
   });
   q.drain_until(batch, 1, std::chrono::steady_clock::now() + std::chrono::seconds(5));
   producer.join();
@@ -208,7 +208,7 @@ TEST(BoundedQueueTest, MultiProducerSingleConsumerDeliversEverything) {
   for (int p = 0; p < kProducers; ++p) {
     producers.emplace_back([&, p] {
       for (int i = 0; i < kPerProducer; ++i) {
-        ASSERT_TRUE(q.push(p * kPerProducer + i));
+        ASSERT_EQ(q.push(p * kPerProducer + i, Ticket{}), PushStatus::kOk);
       }
     });
   }

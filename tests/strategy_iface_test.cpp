@@ -2,8 +2,8 @@
 //  - the class-aware path through strategy::ClassAwareStrategy is
 //    bitwise-identical (selections AND pruned weights) to the legacy
 //    core::select_filters path on all nine architectures;
-//  - the shared engine reproduces the old BaselinePruner selection
-//    semantics in percentage mode;
+//  - the shared engine reproduces the original baseline driver's
+//    lowest-fraction selection semantics in percentage mode;
 //  - residual-constrained groups are filtered out of every strategy's
 //    view before selection;
 //  - every tournament entrant's plan passes analysis::require_ok.
@@ -122,8 +122,8 @@ TEST(StrategyParityTest, ClassAwareBitwiseIdenticalOnAllArchs) {
   }
 }
 
-// The engine in percentage mode reproduces the deleted BaselinePruner
-// select_lowest semantics: lowest-scoring global fraction, per-layer
+// The engine in percentage mode reproduces the original baseline
+// driver's select_lowest semantics: lowest-scoring global fraction, per-layer
 // floor and cap, grouped per unit with ascending filter indices.
 TEST(StrategyEngineTest, PercentageModeMatchesLegacyBaselineSemantics) {
   std::vector<core::ScoredUnit> units;
@@ -144,7 +144,7 @@ TEST(StrategyEngineTest, PercentageModeMatchesLegacyBaselineSemantics) {
 
 // A residual-constrained group never reaches a strategy's score set,
 // even when someone hand-registers it as a model unit (the old
-// BaselinePruner would happily have pruned it).
+// baseline driver would happily have pruned it).
 TEST(StrategyFilterTest, ResidualConstrainedGroupsAreExcluded) {
   models::BuildConfig mcfg;
   nn::Model model = models::make_resnet20(mcfg);
@@ -239,7 +239,7 @@ TEST(StrategyRunnerTest, RunsAndValidates) {
   rcfg.finetune.epochs = 1;
   rcfg.finetune.batch_size = 6;
   int iterations_seen = 0;
-  rcfg.on_iteration = [&](const core::IterationRecord&) { ++iterations_seen; };
+  rcfg.on_iteration = [&](const IterationRecord&) { ++iterations_seen; };
   const StrategyRunResult res = run_strategy(model, strat, data.train, data.test, rcfg);
   EXPECT_EQ(res.method, "dependency-aware");
   EXPECT_EQ(res.iterations_run, 2);
