@@ -13,6 +13,7 @@
 #include "models/builders.h"
 #include "nn/conv2d.h"
 #include "tensor/gemm.h"
+#include "tensor/gemm_tiled.h"
 #include "tensor/im2col.h"
 #include "tensor/rng.h"
 
@@ -48,6 +49,32 @@ void BM_Im2Col(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * col.numel());
 }
 BENCHMARK(BM_Im2Col)->Arg(8)->Arg(16)->Arg(32);
+
+// The lowering a compiled plan and the tiled Conv2d forward run: straight
+// into packed-B panels, finiteness predicate included. Args are (size,
+// kernel, stride, padding): the BM_Im2Col shapes, then one 3x3 stride-2
+// and one 1x1 stride-2 downsampling conv, which skip input elements and
+// so fuse the check into the gather.
+void BM_Im2ColPacked(benchmark::State& state) {
+  const int64_t size = state.range(0);
+  ConvGeom g{16, size, size, state.range(1), state.range(1), state.range(2), state.range(3)};
+  Rng rng(2);
+  Tensor image({16, size, size});
+  rng.fill_normal(image, 0.0f, 1.0f);
+  std::vector<float> panels(static_cast<size_t>(packed_b_floats(g.col_rows(), g.col_cols())));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(im2col_packed(image.data(), g, panels.data()));
+    benchmark::DoNotOptimize(panels.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * g.col_rows() * g.col_cols());
+}
+BENCHMARK(BM_Im2ColPacked)
+    ->Args({8, 3, 1, 1})
+    ->Args({16, 3, 1, 1})
+    ->Args({32, 3, 1, 1})
+    ->Args({32, 3, 2, 1})
+    ->Args({16, 1, 2, 0});
 
 void BM_ConvForward(benchmark::State& state) {
   const int64_t channels = state.range(0);
@@ -146,7 +173,8 @@ int main(int argc, char** argv) {
   const auto is_smoke = [](const char* s) { return std::string(s) == "--smoke"; };
   const bool smoke = std::any_of(bargv.begin(), bargv.end(), is_smoke);
   bargv.erase(std::remove_if(bargv.begin(), bargv.end(), is_smoke), bargv.end());
-  std::string filter = "--benchmark_filter=(BM_Gemm/32|BM_Im2Col/8|BM_ConvForward/16|"
+  std::string filter = "--benchmark_filter=(BM_Gemm/32|BM_Im2Col/8|BM_Im2ColPacked/8/|"
+                       "BM_ConvForward/16|"
                        "BM_ConvBackward/16|BM_TaylorScoring|BM_ExactZeroOutScoring|"
                        "BM_FullImportanceEvaluation)";
   std::string min_time = "--benchmark_min_time=0.01";

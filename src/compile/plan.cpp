@@ -316,12 +316,15 @@ void ExecutionPlan::warm(nn::InferScratch& scratch, int64_t max_batch) const {
   // resolves on each step's shape (the installed table decides mc/kc/mr
   // and the strategy, hence the buffer demand), then run one zero batch
   // so the arena slot buffers also reach steady state. After warm() the
-  // hot loop allocates nothing, whatever table is installed.
+  // hot loop allocates nothing, whatever table is installed. A
+  // pre-packed conv never touches GemmScratch (gemm_tiled_packed and its
+  // reference fallback both run without one), so only the others
+  // reserve.
   const int workers =
       std::max(1, std::min<int>(num_threads(), static_cast<int>(max_batch)));
   scratch.arena.prepare(workers);
   for (const Step& s : steps_) {
-    if (s.kind == StepKind::kConv) {
+    if (s.kind == StepKind::kConv && !s.prepacked) {
       for (int t = 0; t < workers; ++t) {
         reserve_gemm_scratch(scratch.arena.gemm(t), GemmVariant::kNN, s.out_channels,
                              s.geom.col_rows(), s.geom.col_cols());

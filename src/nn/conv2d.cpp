@@ -92,13 +92,28 @@ Tensor Conv2d::compute_forward(const Tensor& input, ScratchArena& arena) const {
   // Arena buffers (column matrix + GEMM packing) persist across calls, so
   // the steady-state batch loop allocates nothing.
   arena.prepare(workers);
+  const bool tiled = gemm_kernel() == GemmKernel::kTiled;
   parallel_for(0, n, [&](int tid, int64_t i) {
-    float* col = arena.floats(tid, 0, krows * cols);
-    im2col(input.data() + i * in_channels_ * h * w, g, col);
-    gemm_auto(wmat.data(), col, out.data() + i * out_channels_ * cols, out_channels_, krows,
-              cols, /*accumulate=*/false, &arena.gemm(tid));
+    const float* image = input.data() + i * in_channels_ * h * w;
+    float* obase = out.data() + i * out_channels_ * cols;
+    GemmScratch& gs = arena.gemm(tid);
+    // Tiled: lower straight into the packed-B panels gemm_tiled would
+    // build, and skip its pack_b. Non-finite panels take the per-call
+    // path below, whose pack_b scan routes them to the strong-zero
+    // reference kernel.
+    bool panels_finite = false;
+    if (tiled) {
+      gs.bpack.resize(static_cast<size_t>(packed_b_floats(krows, cols)));
+      panels_finite = im2col_packed(image, g, gs.bpack.data());
+    }
+    if (panels_finite) {
+      gemm_tiled_panels(wmat.data(), gs.bpack.data(), obase, out_channels_, krows, cols, &gs);
+    } else {
+      float* col = arena.floats(tid, 0, krows * cols);
+      im2col(image, g, col);
+      gemm_auto(wmat.data(), col, obase, out_channels_, krows, cols, /*accumulate=*/false, &gs);
+    }
     if (has_bias_) {
-      float* obase = out.data() + i * out_channels_ * cols;
       for (int64_t c = 0; c < out_channels_; ++c) {
         const float b = bias_.value[c];
         float* row = obase + c * cols;

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
+#include <bit>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -35,12 +35,19 @@ GemmKernel kernel_from_env() {
   return GemmKernel::kTiled;
 }
 
+/// 1 when `v` is NaN or +-Inf (every exponent bit set), else 0. Branch
+/// free, so OR-reducing it over a copy loop vectorises.
+inline uint32_t nonfinite_bit(float v) {
+  constexpr uint32_t kExp = 0x7f800000u;
+  return static_cast<uint32_t>((std::bit_cast<uint32_t>(v) & kExp) == kExp);
+}
+
 /// Packs b into NR-wide column panels: panel p holds columns
 /// [p*NR, p*NR+NR) for every k, k-major, short panels zero-padded.
 /// Element (k, j) of the logical [K, N] operand lives at b[k*rs + j*cs].
 /// Returns false if any packed value is non-finite (strong-zero fallback).
 bool pack_b(const float* b, int64_t rs, int64_t cs, int64_t K, int64_t N, float* out) {
-  bool finite = true;
+  uint32_t bad = 0;
   for (int64_t p = 0; p * NR < N; ++p) {
     const int64_t j0 = p * NR;
     const int64_t w = std::min(NR, N - j0);
@@ -48,15 +55,22 @@ bool pack_b(const float* b, int64_t rs, int64_t cs, int64_t K, int64_t N, float*
     for (int64_t k = 0; k < K; ++k) {
       const float* src = b + k * rs + j0 * cs;
       float* dst = panel + k * NR;
-      for (int64_t j = 0; j < w; ++j) {
-        const float v = src[j * cs];
-        finite = finite && std::isfinite(v);
-        dst[j] = v;
+      if (cs == 1) {
+        for (int64_t j = 0; j < w; ++j) {
+          bad |= nonfinite_bit(src[j]);
+          dst[j] = src[j];
+        }
+      } else {
+        for (int64_t j = 0; j < w; ++j) {
+          const float v = src[j * cs];
+          bad |= nonfinite_bit(v);
+          dst[j] = v;
+        }
       }
       for (int64_t j = w; j < NR; ++j) dst[j] = 0.0f;
     }
   }
-  return finite;
+  return bad == 0;
 }
 
 /// Packs rows [i0, i0+mc) x columns [k0, k0+kc) of the logical [M, K]
@@ -318,46 +332,37 @@ GemmParallel executable_strategy(GemmParallel strat, int64_t mblocks, int64_t pa
   return strat;
 }
 
-/// Shared driver for the per-call kernels. `fallback` re-runs the whole
-/// product on the strong-zero reference path; taken when B contains
-/// non-finite values.
-template <typename Fallback>
-void tiled_driver(GemmVariant variant, const float* a, const float* b, float* c, int64_t M,
-                  int64_t K, int64_t N, bool accumulate, GemmScratch* scratch,
-                  const Operands& op, const Fallback& fallback) {
+/// Run half of the per-call kernels: c (+)= A * B (+ epilogue) with B
+/// already in the pack_b panel layout. A is packed per call into `s`;
+/// `bpack` is only read, so it may be s.bpack itself.
+void run_packed_b(GemmVariant variant, const float* a, const float* bpack, float* c, int64_t M,
+                  int64_t K, int64_t N, bool accumulate, GemmScratch& s, const Operands& op,
+                  const GemmEpilogue& ep = {}) {
   if (M <= 0 || N <= 0) return;
   if (K <= 0) {
     if (!accumulate) std::memset(c, 0, static_cast<size_t>(M * N) * sizeof(float));
+    if (has_epilogue(ep)) apply_epilogue_tile(c, N, M, N, 0, 0, ep);
     return;
   }
-  GemmScratch local;
-  GemmScratch& s = scratch != nullptr ? *scratch : local;
   const int64_t panels = (N + NR - 1) / NR;
-  s.bpack.resize(static_cast<size_t>(panels * K * NR));
-  if (!pack_b(b, op.b_rs, op.b_cs, K, N, s.bpack.data())) {
-    fallback();
-    return;
-  }
   const GemmTuneConfig cfg = resolve_gemm_config(variant, M, K, N);
   const MicroFn micro = micro_for(cfg.mr);
   const int64_t mblocks = (M + cfg.mc - 1) / cfg.mc;
-  const GemmEpilogue ep;  // per-call kernels have no fused epilogue
   switch (executable_strategy(cfg.strategy, mblocks, panels)) {
     case GemmParallel::kNoParallel:
       for (int64_t mb = 0; mb < mblocks; ++mb) {
-        run_mblock(a, c, M, K, N, accumulate, op, s.bpack.data(), mb, 0, panels, ep, cfg, micro,
-                   s.apack);
+        run_mblock(a, c, M, K, N, accumulate, op, bpack, mb, 0, panels, ep, cfg, micro, s.apack);
       }
       return;
     case GemmParallel::kSplitM: {
-      // Row blocks across workers. bpack is written above, strictly
-      // before the threads spawn (happens-before via thread creation),
-      // and is read-only inside the region; each block writes a
-      // disjoint C row range.
+      // Row blocks across workers. bpack is written strictly before the
+      // threads spawn (happens-before via thread creation) and is
+      // read-only inside the region; each block writes a disjoint C row
+      // range.
       const auto workers = static_cast<size_t>(std::min<int64_t>(mblocks, num_threads()));
       if (s.wapack.size() < workers) s.wapack.resize(workers);
       parallel_for(0, mblocks, [&](int tid, int64_t mb) {
-        run_mblock(a, c, M, K, N, accumulate, op, s.bpack.data(), mb, 0, panels, ep, cfg, micro,
+        run_mblock(a, c, M, K, N, accumulate, op, bpack, mb, 0, panels, ep, cfg, micro,
                    s.wapack[static_cast<size_t>(tid)]);
       });
       return;
@@ -368,10 +373,30 @@ void tiled_driver(GemmVariant variant, const float* a, const float* b, float* c,
       // writes a disjoint C column range.
       pack_a_all(a, op, M, K, cfg, s.apack);
       parallel_for(0, panels, [&](int, int64_t p) {
-        run_panel(s.apack.data(), s.bpack.data(), c, M, K, N, accumulate, ep, cfg, micro, p);
+        run_panel(s.apack.data(), bpack, c, M, K, N, accumulate, ep, cfg, micro, p);
       });
       return;
   }
+}
+
+/// Shared driver for the per-call kernels: the pack half (pack_b into
+/// the scratch) then run_packed_b. `fallback` re-runs the whole product
+/// on the strong-zero reference path; taken when B contains non-finite
+/// values.
+template <typename Fallback>
+void tiled_driver(GemmVariant variant, const float* a, const float* b, float* c, int64_t M,
+                  int64_t K, int64_t N, bool accumulate, GemmScratch* scratch,
+                  const Operands& op, const Fallback& fallback) {
+  GemmScratch local;
+  GemmScratch& s = scratch != nullptr ? *scratch : local;
+  if (M > 0 && N > 0 && K > 0) {
+    s.bpack.resize(static_cast<size_t>(packed_b_floats(K, N)));
+    if (!pack_b(b, op.b_rs, op.b_cs, K, N, s.bpack.data())) {
+      fallback();
+      return;
+    }
+  }
+  run_packed_b(variant, a, s.bpack.data(), c, M, K, N, accumulate, s, op);
 }
 
 /// run_mblock with A pre-packed (layout and config from the PackedA):
@@ -555,47 +580,18 @@ void gemm_tiled_packed(const PackedA& a, const float* bpanels, float* c, int64_t
 
 void gemm_tiled_packed_nt(const float* a, const PackedB& b, float* c, int64_t M,
                           const GemmEpilogue& ep, GemmScratch* scratch) {
-  const int64_t K = b.depth;
-  const int64_t N = b.cols;
-  if (M <= 0 || N <= 0) return;
-  if (K <= 0) {
-    std::memset(c, 0, static_cast<size_t>(M * N) * sizeof(float));
-    if (has_epilogue(ep)) apply_epilogue_tile(c, N, M, N, 0, 0, ep);
-    return;
-  }
-  GemmScratch local;
-  GemmScratch& s = scratch != nullptr ? *scratch : local;
   // The logical product is a[M, K] * w^T — an NT-variant shape. A is
   // packed per call (row-major operand strides {K, 1}).
-  const GemmTuneConfig cfg = resolve_gemm_config(GemmVariant::kNT, M, K, N);
-  const MicroFn micro = micro_for(cfg.mr);
-  const Operands op{K, 1, 0, 0};
-  const int64_t mblocks = (M + cfg.mc - 1) / cfg.mc;
-  const int64_t panels = (N + NR - 1) / NR;
-  switch (executable_strategy(cfg.strategy, mblocks, panels)) {
-    case GemmParallel::kNoParallel:
-      for (int64_t mb = 0; mb < mblocks; ++mb) {
-        run_mblock(a, c, M, K, N, /*accumulate=*/false, op, b.panels.data(), mb, 0, panels, ep,
-                   cfg, micro, s.apack);
-      }
-      return;
-    case GemmParallel::kSplitM: {
-      const auto workers = static_cast<size_t>(std::min<int64_t>(mblocks, num_threads()));
-      if (s.wapack.size() < workers) s.wapack.resize(workers);
-      parallel_for(0, mblocks, [&](int tid, int64_t mb) {
-        run_mblock(a, c, M, K, N, /*accumulate=*/false, op, b.panels.data(), mb, 0, panels, ep,
-                   cfg, micro, s.wapack[static_cast<size_t>(tid)]);
-      });
-      return;
-    }
-    case GemmParallel::kSplitN:
-      pack_a_all(a, op, M, K, cfg, s.apack);
-      parallel_for(0, panels, [&](int, int64_t p) {
-        run_panel(s.apack.data(), b.panels.data(), c, M, K, N, /*accumulate=*/false, ep, cfg,
-                  micro, p);
-      });
-      return;
-  }
+  GemmScratch local;
+  run_packed_b(GemmVariant::kNT, a, b.panels.data(), c, M, b.depth, b.cols, /*accumulate=*/false,
+               scratch != nullptr ? *scratch : local, Operands{b.depth, 1, 0, 0}, ep);
+}
+
+void gemm_tiled_panels(const float* a, const float* bpanels, float* c, int64_t M, int64_t K,
+                       int64_t N, GemmScratch* scratch) {
+  GemmScratch local;
+  run_packed_b(GemmVariant::kNN, a, bpanels, c, M, K, N, /*accumulate=*/false,
+               scratch != nullptr ? *scratch : local, Operands{K, 1, N, 1});
 }
 
 GemmKernel gemm_kernel() {

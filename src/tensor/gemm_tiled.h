@@ -90,6 +90,14 @@ void gemm_tn_auto(const float* a, const float* b, float* c, int64_t M, int64_t K
 // matrix is written directly in panel layout (im2col_packed) so the B
 // pack pass disappears from the hot loop entirely.
 //
+// The interpreter's conv forward (nn::Conv2d, which training, scoring
+// and evaluation run) takes the B half of that: im2col_packed writes
+// straight into the worker's GemmScratch::bpack and gemm_tiled_panels
+// runs the NN product without pack_b, packing A per call exactly as
+// gemm_tiled does. When im2col_packed reports a non-finite value the
+// conv falls back to im2col + gemm_auto, which re-scans in pack_b and
+// takes the strong-zero reference kernel.
+//
 // Bitwise contract: the packed kernels feed the exact same micro-kernel
 // with the exact same strip/panel contents and k-ascending block order
 // as gemm_tiled/gemm_tiled_nt, so their outputs are bitwise identical
@@ -177,6 +185,15 @@ struct GemmEpilogue {
 /// this when the panel values are known finite.
 void gemm_tiled_packed(const PackedA& a, const float* bpanels, float* c, int64_t N,
                        const GemmEpilogue& ep = {});
+
+/// c[M, N] = a[M, K] * B with B already in the pack_b panel layout for
+/// [K, N] (e.g. from im2col_packed): gemm_tiled minus its pack_b pass,
+/// so the same resolved config, strategy and micro-kernel calls, and a
+/// bitwise-identical result. A is packed per call into `scratch`, whose
+/// bpack may hold `bpanels` itself. Only call when the panel values are
+/// known finite; otherwise take gemm_auto on the unpacked operand.
+void gemm_tiled_panels(const float* a, const float* bpanels, float* c, int64_t M, int64_t K,
+                       int64_t N, GemmScratch* scratch = nullptr);
 
 /// c[M, N] = a[M, K] * B^T (+ epilogue) with B pre-packed by pack_b_nt.
 /// A is packed per call into `scratch` (pass one per thread). Only call

@@ -41,12 +41,20 @@ void im2col(const float* im, const ConvGeom& g, float* col);
 
 /// Lowers one image straight into the tiled GEMM's packed-B panel layout
 /// (kPanelWidth-wide column panels, k-major, tail panel zero-padded):
-/// writing pack_b(im2col(im)) in one pass, skipping the intermediate
-/// column matrix entirely. `panels` must have
-/// packed_b_floats(col_rows(), col_cols()) floats. Returns false if any
-/// column value is non-finite — the exact predicate pack_b evaluates,
-/// so compiled and per-call paths take the strong-zero reference
-/// fallback under identical conditions.
+/// writing pack_b(im2col(im)) byte for byte in one pass, skipping the
+/// intermediate column matrix entirely. The panels are filled in panel
+/// order, each (c, kh, kw) row of a panel copying the input-row run of
+/// every output row the panel covers, so the buffer is written front to
+/// back. `panels` must have
+/// packed_b_floats(col_rows(), col_cols()) floats.
+///
+/// Returns false iff some column value is non-finite — the exact
+/// predicate pack_b evaluates on im2col(im), so the compiled plan, the
+/// tiled Conv2d forward and the per-call kernels take the strong-zero
+/// reference fallback under identical conditions. An input element the
+/// windows never read (a stride that skips rows or columns) is in no
+/// column and never counts. When every element is read the predicate is
+/// one scan of the input; otherwise it is checked during the gather.
 bool im2col_packed(const float* im, const ConvGeom& g, float* panels);
 
 /// Adjoint of im2col: accumulates the column matrix back into [Cin, H, W].

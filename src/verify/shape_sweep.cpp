@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <sstream>
 
 #include "nn/conv2d.h"
@@ -79,11 +80,76 @@ ConvGeom random_geom(Rng& rng) {
   return g;
 }
 
+/// Wider geometry for the panel-layout sweep: C 1-8, H and W 1-33
+/// (non-square, panel tails of every width), k 1-5, stride 1-3, padding
+/// 0-2; H and W are redrawn until the kernel fits.
+ConvGeom random_panel_geom(Rng& rng) {
+  ConvGeom g;
+  g.in_channels = 1 + rng.uniform_int(8);
+  g.kernel_h = 1 + rng.uniform_int(5);
+  g.kernel_w = g.kernel_h;
+  g.stride = 1 + rng.uniform_int(3);
+  g.padding = rng.uniform_int(3);
+  do {
+    g.in_h = 1 + rng.uniform_int(33);
+    g.in_w = 1 + rng.uniform_int(33);
+  } while (g.in_h + 2 * g.padding < g.kernel_h || g.in_w + 2 * g.padding < g.kernel_w);
+  return g;
+}
+
 std::string geom_string(const ConvGeom& g) {
   std::ostringstream os;
   os << "Cin=" << g.in_channels << " H=" << g.in_h << " W=" << g.in_w << " k=" << g.kernel_h
      << " stride=" << g.stride << " pad=" << g.padding;
   return os.str();
+}
+
+/// One im2col_packed config: a wider random geometry, half the time
+/// with a NaN, +-Inf or -0.0 planted at a random input position (read
+/// by the windows or not). The panels must equal the pack_b layout of
+/// ref_im2col byte for byte, tail padding included, and the return value
+/// must equal "some column value is non-finite".
+void check_im2col_packed(Rng& rng, SweepResult& r) {
+  constexpr float kSpecials[] = {std::numeric_limits<float>::quiet_NaN(),
+                                 std::numeric_limits<float>::infinity(),
+                                 -std::numeric_limits<float>::infinity(), -0.0f};
+  // A NaN bit pattern no lane may keep: every panel float must be
+  // written.
+  constexpr uint32_t kFill = 0xFFC0DEADu;
+  const ConvGeom g = random_panel_geom(rng);
+  Tensor im = random(rng, {g.in_channels, g.in_h, g.in_w});
+  std::string planted = "none";
+  if (rng.uniform() < 0.5f) {
+    const int64_t at = rng.uniform_int(im.numel());
+    im[at] = kSpecials[rng.uniform_int(4)];
+    planted = std::to_string(im[at]) + "@" + std::to_string(at);
+  }
+  const std::string config = geom_string(g) + " planted=" + planted;
+
+  const int64_t K = g.col_rows();
+  const int64_t N = g.col_cols();
+  const Tensor col = ref_im2col(im, g);
+  Tensor want({packed_b_floats(K, N)});
+  bool want_finite = true;
+  for (int64_t k = 0; k < K; ++k) {
+    for (int64_t j = 0; j < N; ++j) {
+      const float v = col[k * N + j];
+      want_finite = want_finite && std::isfinite(v);
+      want[(j / kPanelWidth) * K * kPanelWidth + k * kPanelWidth + j % kPanelWidth] = v;
+    }
+  }
+  Tensor got({packed_b_floats(K, N)});
+  for (int64_t i = 0; i < got.numel(); ++i) std::memcpy(got.data() + i, &kFill, sizeof(float));
+  const bool got_finite = im2col_packed(im.data(), g, got.data());
+  record(r, bitwise_report(got, want), "im2col_packed", config);
+  if (got_finite != want_finite) {
+    ++r.failures;
+    if (r.first_failure.empty()) {
+      r.first_failure = "im2col_packed finiteness @ " + config + ": got " +
+                        (got_finite ? "true" : "false") + ", want " +
+                        (want_finite ? "true" : "false");
+    }
+  }
 }
 
 /// Pins the worker count for one scope; restores the previous setting.
@@ -234,6 +300,7 @@ SweepResult sweep_im2col(const SweepOptions& opts) {
         r.first_failure = os.str();
       }
     }
+    check_im2col_packed(rng, r);
     ++r.configs_run;
   }
   return r;

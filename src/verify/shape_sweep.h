@@ -58,7 +58,12 @@ SweepResult sweep_gemm_tiled(const std::vector<GemmShape>& shapes,
                              const SweepOptions& opts = {});
 
 /// im2col and col2im against the references over random geometries, plus
-/// the adjoint identity <im2col(x), y> == <x, col2im(y)>.
+/// the adjoint identity <im2col(x), y> == <x, col2im(y)>. Each config
+/// also checks im2col_packed against the pack_b layout of ref_im2col,
+/// byte for byte (tail-panel padding included), on a wider geometry (C
+/// 1-8, H and W 1-33, k 1-5, stride 1-3, padding 0-2); half of those
+/// plant a NaN, +-Inf or -0.0 at a random input position, and the return
+/// value must equal "some column value is non-finite".
 SweepResult sweep_im2col(const SweepOptions& opts = {});
 
 /// Conv2d forward AND backward (input/weight/bias grads) against the

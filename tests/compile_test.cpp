@@ -12,8 +12,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -24,6 +27,7 @@
 #include "compile/plan.h"
 #include "core/surgeon.h"
 #include "models/builders.h"
+#include "nn/activations.h"
 #include "nn/dropout.h"
 #include "nn/pooling.h"
 #include "serve/session.h"
@@ -328,6 +332,90 @@ TEST(CompileSessionTest, SessionModesHonourContract) {
     const Tensor want = base.run(x, s1);
     EXPECT_TRUE(bitwise_equal(compiled.run(x, s2), want));
     EXPECT_TRUE(capr::testing::expect_allclose(folded.run(x, s3), want, 1e-3f, 2e-3f));
+  }
+}
+
+// conv(2 -> 4, 3x3) -> ReLU -> flatten -> linear over a 2x8x8 input,
+// weights drawn from a fixed seed. With `mask_channel0` every tap that
+// reads input channel 0 is an exact zero (a masked channel).
+nn::Model poison_probe_model(int64_t stride, int64_t padding, bool mask_channel0) {
+  nn::Model model;
+  model.arch = "custom-poison-probe";
+  model.input_shape = {2, 8, 8};
+  model.num_classes = 3;
+  auto conv = std::make_unique<nn::Conv2d>(2, 4, 3, stride, padding, /*bias=*/true);
+  Rng rng(71);
+  rng.fill_uniform(conv->weight().value, -1.0f, 1.0f);
+  rng.fill_uniform(conv->bias().value, -1.0f, 1.0f);
+  if (mask_channel0) {
+    for (int64_t f = 0; f < 4; ++f) {
+      float* taps = conv->weight().value.data() + f * 2 * 9;
+      std::fill(taps, taps + 9, 0.0f);
+    }
+  }
+  const Shape conv_out = conv->output_shape(model.input_shape);
+  auto linear =
+      std::make_unique<nn::Linear>(conv_out[0] * conv_out[1] * conv_out[2], model.num_classes);
+  rng.fill_uniform(linear->weight().value, -1.0f, 1.0f);
+  rng.fill_uniform(linear->bias().value, -1.0f, 1.0f);
+  model.net = std::make_unique<nn::Sequential>();
+  model.net->add(std::move(conv));
+  model.net->add(std::make_unique<nn::ReLU>());
+  model.net->add(std::make_unique<nn::Flatten>());
+  model.net->add(std::move(linear));
+  return model;
+}
+
+bool all_finite(const Tensor& t) {
+  for (int64_t i = 0; i < t.numel(); ++i) {
+    if (!std::isfinite(t[i])) return false;
+  }
+  return true;
+}
+
+// Both non-finite scans (im2col_packed in the plan, im2col_packed then
+// pack_b in the interpreted conv) agree with the strong-zero contract:
+// (a) a NaN the masked channel feeds sends both to the reference
+//     kernel, where the zero taps annihilate it;
+// (b) a NaN in a row the stride-2, pad-0 windows never read keeps both
+//     on the fast path, with the same bits as a clean input.
+TEST(CompileFallbackTest, NonFiniteInputsMatchInterpretedBitwise) {
+  const GemmKernelScope scope(GemmKernel::kTiled);
+  serve::SessionOptions interp;
+  interp.mode = serve::SessionOptions::Mode::kInterpreted;
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+
+  {
+    const serve::InferenceSession base(poison_probe_model(1, 1, true), interp);
+    const serve::InferenceSession compiled(poison_probe_model(1, 1, true));
+    ASSERT_NE(compiled.plan(), nullptr);
+    Tensor x = random_batch(base.input_shape(), 2, 73);
+    x[5] = nan;            // image 0, channel 0
+    x[128 + 64 - 1] = nan;  // image 1, channel 0, last element
+    nn::InferScratch s1, s2;
+    const Tensor want = base.run(x, s1);
+    const Tensor got = compiled.run(x, s2);
+    EXPECT_TRUE(all_finite(want)) << "NaN leaked past the masked channel";
+    EXPECT_TRUE(bitwise_equal(got, want));
+  }
+  {
+    const serve::InferenceSession base(poison_probe_model(2, 0, false), interp);
+    const serve::InferenceSession compiled(poison_probe_model(2, 0, false));
+    ASSERT_NE(compiled.plan(), nullptr);
+    const Tensor clean = random_batch(base.input_shape(), 2, 79);
+    Tensor x = clean;
+    for (int64_t img = 0; img < 2; ++img) {
+      for (int64_t c = 0; c < 2; ++c) {
+        float* last_row = x.data() + (img * 2 + c) * 64 + 7 * 8;
+        std::fill(last_row, last_row + 8, nan);
+      }
+    }
+    nn::InferScratch s1, s2, s3;
+    const Tensor want = base.run(x, s1);
+    const Tensor got = compiled.run(x, s2);
+    EXPECT_TRUE(all_finite(got));
+    EXPECT_TRUE(bitwise_equal(got, want));
+    EXPECT_TRUE(bitwise_equal(got, compiled.run(clean, s3)));
   }
 }
 

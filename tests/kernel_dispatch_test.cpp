@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "core/surgeon.h"
@@ -16,6 +17,7 @@
 #include "nn/conv2d.h"
 #include "tensor/gemm.h"
 #include "tensor/gemm_tiled.h"
+#include "tensor/ops.h"
 #include "tensor/rng.h"
 #include "testutil/testutil.h"
 
@@ -123,6 +125,28 @@ TEST(KernelDispatchTest, RawTiledFallsBackOnNonFiniteB) {
       EXPECT_EQ(got[i], want[i]) << "at " << i;
     }
   }
+}
+
+TEST(KernelDispatchTest, NtStridedOperandScanCatchesLastColumnInf) {
+  // gemm_tiled_nt reads its logical B = b^T with column stride K, the
+  // non-unit-stride branch of pack_b. Inf sits in the last column of B
+  // (the one real lane of the tail panel) at a k whose A column is
+  // exactly zero: the scan must route the call to the strong-zero
+  // reference, which annihilates it.
+  const int64_t m = 7, k = 19, n = 33;
+  Rng rng(9);
+  Tensor a = random(rng, {m, k});
+  for (int64_t i = 0; i < m; ++i) a[i * k + 4] = 0.0f;
+  Tensor b = random(rng, {n, k});
+  b[(n - 1) * k + 4] = kInf;
+  Tensor got({m, n}), want({m, n});
+  gemm_tiled_nt(a.data(), b.data(), got.data(), m, k, n);
+  const Tensor bt = transpose(b);
+  gemm(a.data(), bt.data(), want.data(), m, k, n);
+  for (int64_t i = 0; i < got.numel(); ++i) {
+    ASSERT_TRUE(std::isfinite(got[i])) << "Inf leaked past a zero weight at " << i;
+  }
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), sizeof(float) * static_cast<size_t>(m * n)), 0);
 }
 
 TEST(KernelDispatchTest, MaskedConvSilencesPoisonedChannelUnderTiled) {

@@ -57,8 +57,11 @@ TEST(OracleSweepTest, GemmFamilyMatchesReference) {
 }
 
 TEST(OracleSweepTest, Im2colCol2imMatchReferenceAndAreAdjoint) {
+  // 1000 configs so planted values land on both read and unread input
+  // positions of every im2col_packed path (stride 1, stride 2, larger
+  // strides, unpadded gathers).
   SweepOptions opts;
-  opts.configs = 60;
+  opts.configs = 1000;
   const SweepResult r = sweep_im2col(opts);
   EXPECT_GE(r.configs_run, 50);
   EXPECT_TRUE(r.ok()) << r.first_failure;
