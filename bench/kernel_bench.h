@@ -93,13 +93,12 @@ inline bool write_kernel_json(const std::string& path, const std::string& binary
   return true;
 }
 
-/// Strips --smoke / --out FILE / --tuning FILE (shared bench flags) and
+/// Strips --smoke / --out FILE (shared bench flags) and
 /// forwards the rest to benchmark::Initialize. Returns false on
 /// unrecognised flags.
 struct KernelBenchArgs {
   bool smoke = false;
   std::string out;
-  std::string tuning;  // tuning table for the tiled-tuned rows
 };
 
 inline bool init_benchmark(int argc, char** argv, const std::string& smoke_filter,
@@ -112,8 +111,6 @@ inline bool init_benchmark(int argc, char** argv, const std::string& smoke_filte
       args.smoke = true;
     } else if (flag == "--out" && i + 1 < argc) {
       args.out = argv[++i];
-    } else if (flag == "--tuning" && i + 1 < argc) {
-      args.tuning = argv[++i];
     } else {
       bargv.push_back(argv[i]);
     }

@@ -243,10 +243,11 @@ int fuse_epilogues(PlanBuilder& b) {
 void prepack_weights(PlanBuilder& b) {
   for (Step& s : b.steps()) {
     if (s.kind == StepKind::kConv) {
-      // The strip layout depends on the tuning config (mc/kc/mr), so
-      // resolve the config for the GEMM this step will actually run —
-      // [out_channels, krows] x [krows, col_cols] — and bake it into the
-      // PackedA. The packed executor replays exactly that config.
+      // The strip layout depends on the GEMM config (mc/kc/mr), so
+      // resolve the fixed config for the GEMM this step will actually
+      // run — [out_channels, krows] x [krows, col_cols] — and bake it
+      // into the PackedA. The packed executor replays exactly that
+      // config, strategy included.
       const GemmTuneConfig cfg = resolve_gemm_config(
           GemmVariant::kNN, s.out_channels, s.weight.dim(1), s.geom.col_cols());
       s.packed_w = pack_a_full(s.weight.data(), s.out_channels, s.weight.dim(1), cfg);

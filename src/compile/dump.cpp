@@ -71,9 +71,9 @@ std::string to_json(const ExecutionPlan& plan, const graph::ModuleGraph& g,
          << ", \"prepacked\": " << (s.prepacked ? "true" : "false")
          << ", \"prepacked_floats\": " << static_cast<int64_t>(s.packed_w.strips.size());
       if (s.prepacked) {
-        // Packing provenance: the tuning config the strips were laid out
-        // for. Changes when a tuning table re-shapes the packed layout,
-        // which is exactly what the golden diff should surface.
+        // Packing provenance: the GEMM config the strips were laid out
+        // for. Changes when the fixed config or its split threshold
+        // does, which is exactly what the golden diff should surface.
         os << ", \"packed_mc\": " << s.packed_w.cfg.mc
            << ", \"packed_kc\": " << s.packed_w.cfg.kc
            << ", \"packed_mr\": " << s.packed_w.cfg.mr

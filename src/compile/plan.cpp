@@ -312,14 +312,13 @@ Tensor ExecutionPlan::run(const Tensor& batch, nn::InferScratch& scratch) const 
 
 void ExecutionPlan::warm(nn::InferScratch& scratch, int64_t max_batch) const {
   if (max_batch < 1) max_batch = 1;
-  // Pre-size the per-worker GEMM scratch for the tuning config dispatch
-  // resolves on each step's shape (the installed table decides mc/kc/mr
-  // and the strategy, hence the buffer demand), then run one zero batch
-  // so the arena slot buffers also reach steady state. After warm() the
-  // hot loop allocates nothing, whatever table is installed. A
-  // pre-packed conv never touches GemmScratch (gemm_tiled_packed and its
-  // reference fallback both run without one), so only the others
-  // reserve.
+  // Pre-size the per-worker GEMM scratch for the config dispatch
+  // resolves on each step's shape (its strategy decides whether per-
+  // worker A packs are needed), then run one zero batch so the arena
+  // slot buffers also reach steady state. After warm() the hot loop
+  // allocates nothing. A pre-packed conv never touches GemmScratch
+  // (gemm_tiled_packed and its reference fallback both run without
+  // one), so only the others reserve.
   const int workers =
       std::max(1, std::min<int>(num_threads(), static_cast<int>(max_batch)));
   scratch.arena.prepare(workers);

@@ -385,7 +385,7 @@ PlanLint lint_plan(const ExecutionPlan& plan, const graph::ModuleGraph& g) {
                             std::to_string(krows) + "] weight"));
         } else if (std::string why; !gemm_config_valid(s.packed_w.cfg, &why)) {
           lint.add(diag(PlanDiagCode::kPanelShape, idx, graph::kNoNode,
-                        "packed conv strips record an illegal tuning config: " + why));
+                        "packed conv strips record an illegal GEMM config: " + why));
         } else if (const GemmTuneConfig& cfg = s.packed_w.cfg;
                    s.packed_w.kblocks != (krows + cfg.kc - 1) / cfg.kc ||
                    s.packed_w.block_offset.size() !=

@@ -9,7 +9,7 @@
 //  - the TILED kernel (gemm_tiled.h): packed panels, register tiling and
 //    parallel_for threading; the default fast path.
 // matmul / matmul_nt / matmul_tn route through the active kernel
-// (set_gemm_kernel / $CAPR_GEMM_KERNEL, default tiled).
+// (set_gemm_kernel, default tiled).
 //
 // Semantics of zeros (intentional, pinned by tests/gemm_test.cpp):
 // `gemm` and `gemm_tn_ref` skip rank-1 updates whose left-operand element

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <cstdlib>
 #include <cstring>
-#include <string>
 #include <vector>
 
 #include "tensor/gemm.h"
@@ -17,23 +15,15 @@ namespace {
 
 // Panel width of the packed-B layout; fixed (it is baked into
 // im2col_packed and every committed PackedB), so the micro-kernel's NR
-// is not tunable. The micro-kernel height IS: micro_kernel_t<kMR> is
-// instantiated for every legal_gemm_mr() value and the resolved tuning
-// config picks one at dispatch time.
+// is not configurable. The micro-kernel height is: micro_kernel_t<kMR>
+// is instantiated for every legal_gemm_mr() value, and the config a
+// call runs (resolve_gemm_config, or the one a PackedA records) picks
+// one.
 constexpr int64_t NR = 16;
 
 static_assert(NR == kPanelWidth, "packed-B layout width must match the micro-kernel NR");
 
-std::atomic<GemmKernel> g_kernel_override{GemmKernel::kReference};
-std::atomic<bool> g_kernel_overridden{false};
-
-GemmKernel kernel_from_env() {
-  const char* v = std::getenv("CAPR_GEMM_KERNEL");
-  if (v == nullptr || *v == '\0') return GemmKernel::kTiled;
-  const std::string s(v);
-  if (s == "reference" || s == "ref") return GemmKernel::kReference;
-  return GemmKernel::kTiled;
-}
+std::atomic<GemmKernel> g_kernel{GemmKernel::kTiled};
 
 /// 1 when `v` is NaN or +-Inf (every exponent bit set), else 0. Branch
 /// free, so OR-reducing it over a copy loop vectorises.
@@ -110,8 +100,8 @@ static_assert(NR * sizeof(float) == 64, "vnr must span one packed panel row");
 /// zero and adding it to C afterwards, every C element sees one global
 /// k-ascending addition sequence — making the result bitwise INVARIANT
 /// to mc/kc/mr, the parallelization strategy, and the worker count.
-/// That invariance is the eligibility foundation of the autotuner: any
-/// legal tuning config produces identical bits, only different speed.
+/// So any legal config a PackedA records produces identical bits, only
+/// different speed.
 ///
 /// Edge tiles stage C through a zero-padded tile so the same vector
 /// loop runs; pad lanes are never written back (they can hold garbage
@@ -229,24 +219,24 @@ bool has_epilogue(const GemmEpilogue& ep) {
   return ep.bias_row != nullptr || ep.bias_col != nullptr || ep.act != 0;
 }
 
-/// One row block: all k-blocks, in order, against panels [p0, p1). The
+/// One row block: all k-blocks, in order, against every panel. The
 /// per-element accumulation order (k ascending, C pre-loaded) is
 /// identical no matter which worker runs the block or how cfg slices
 /// it. The optional epilogue fires per tile after the final k-block.
 void run_mblock(const float* a, float* c, int64_t M, int64_t K, int64_t N, bool accumulate,
-                const Operands& op, const float* bpack, int64_t mb, int64_t p0, int64_t p1,
-                const GemmEpilogue& ep, const GemmTuneConfig& cfg, MicroFn micro,
-                std::vector<float>& apack) {
+                const Operands& op, const float* bpack, int64_t mb, const GemmEpilogue& ep,
+                const GemmTuneConfig& cfg, MicroFn micro, std::vector<float>& apack) {
   const int64_t i0 = mb * cfg.mc;
   const int64_t mc = std::min(cfg.mc, M - i0);
   const int64_t strips = (mc + cfg.mr - 1) / cfg.mr;
+  const int64_t panels = (N + NR - 1) / NR;
   apack.resize(static_cast<size_t>(strips * cfg.mr * std::min(K, cfg.kc)));
   for (int64_t k0 = 0; k0 < K; k0 += cfg.kc) {
     const int64_t kc = std::min(cfg.kc, K - k0);
     pack_a(a, op.a_rs, op.a_cs, i0, mc, k0, kc, cfg.mr, apack.data());
     const bool overwrite = k0 == 0 && !accumulate;
     const bool last = k0 + kc == K;
-    for (int64_t p = p0; p < p1; ++p) {
+    for (int64_t p = 0; p < panels; ++p) {
       const int64_t j0 = p * NR;
       const int64_t nr = std::min(NR, N - j0);
       const float* bp = bpack + p * K * NR + k0 * NR;
@@ -260,76 +250,13 @@ void run_mblock(const float* a, float* c, int64_t M, int64_t K, int64_t N, bool 
   }
 }
 
-/// Offset of cache block (mb, kb) inside a whole-A pack laid out in
-/// (mb, kb) order: preceding m-blocks are full height (strips_full
-/// strips spanning all of K), preceding k-blocks full depth.
-size_t ablock_offset(int64_t mb, int64_t kb, int64_t M, int64_t K, const GemmTuneConfig& cfg) {
-  const int64_t strips_full = (cfg.mc + cfg.mr - 1) / cfg.mr;
-  size_t off = static_cast<size_t>(mb) * static_cast<size_t>(strips_full * cfg.mr * K);
-  const int64_t mc = std::min(cfg.mc, M - mb * cfg.mc);
-  const int64_t strips = (mc + cfg.mr - 1) / cfg.mr;
-  off += static_cast<size_t>(kb) * static_cast<size_t>(strips * cfg.mr * cfg.kc);
-  return off;
-}
-
-/// Packs every (m-block, k-block) strip of A at once — the split-N
-/// strategy packs A serially, then workers share it read-only while
-/// owning disjoint panel ranges of C.
-void pack_a_all(const float* a, const Operands& op, int64_t M, int64_t K,
-                const GemmTuneConfig& cfg, std::vector<float>& out) {
-  out.resize(static_cast<size_t>(gemm_apack_all_floats(M, K, cfg)));
-  const int64_t mblocks = (M + cfg.mc - 1) / cfg.mc;
-  const int64_t kblocks = (K + cfg.kc - 1) / cfg.kc;
-  for (int64_t mb = 0; mb < mblocks; ++mb) {
-    const int64_t i0 = mb * cfg.mc;
-    const int64_t mc = std::min(cfg.mc, M - i0);
-    for (int64_t kb = 0; kb < kblocks; ++kb) {
-      const int64_t k0 = kb * cfg.kc;
-      const int64_t kc = std::min(cfg.kc, K - k0);
-      pack_a(a, op.a_rs, op.a_cs, i0, mc, k0, kc, cfg.mr,
-             out.data() + ablock_offset(mb, kb, M, K, cfg));
-    }
-  }
-}
-
-/// One panel of C across every m-block and k-block, reading the shared
-/// whole-A pack. Each element's k-chain lives entirely in this call, so
-/// split-N output is bitwise identical to the serial order.
-void run_panel(const float* apack_all, const float* bpack, float* c, int64_t M, int64_t K,
-               int64_t N, bool accumulate, const GemmEpilogue& ep, const GemmTuneConfig& cfg,
-               MicroFn micro, int64_t p) {
-  const int64_t j0 = p * NR;
-  const int64_t nr = std::min(NR, N - j0);
-  const int64_t mblocks = (M + cfg.mc - 1) / cfg.mc;
-  for (int64_t mb = 0; mb < mblocks; ++mb) {
-    const int64_t i0 = mb * cfg.mc;
-    const int64_t mc = std::min(cfg.mc, M - i0);
-    const int64_t strips = (mc + cfg.mr - 1) / cfg.mr;
-    for (int64_t k0 = 0, kb = 0; k0 < K; k0 += cfg.kc, ++kb) {
-      const int64_t kc = std::min(cfg.kc, K - k0);
-      const float* ablock = apack_all + ablock_offset(mb, kb, M, K, cfg);
-      const bool overwrite = k0 == 0 && !accumulate;
-      const bool last = k0 + kc == K;
-      const float* bp = bpack + p * K * NR + k0 * NR;
-      for (int64_t s = 0; s < strips; ++s) {
-        const int64_t i = i0 + s * cfg.mr;
-        const int64_t mr = std::min(cfg.mr, i0 + mc - i);
-        micro(ablock + s * cfg.mr * kc, bp, kc, c + i * N + j0, N, mr, nr, overwrite);
-        if (last && has_epilogue(ep)) apply_epilogue_tile(c + i * N + j0, N, mr, nr, i, j0, ep);
-      }
-    }
-  }
-}
-
-/// Downgrades a resolved strategy to what this call can actually use:
-/// serial when the shape has nothing to split or threading is
-/// unavailable here. Purely shape/thread-count dependent, so dispatch
-/// stays deterministic.
-GemmParallel executable_strategy(GemmParallel strat, int64_t mblocks, int64_t panels) {
-  if (num_threads() <= 1 || in_parallel_region()) return GemmParallel::kNoParallel;
-  if (strat == GemmParallel::kSplitM && mblocks <= 1) return GemmParallel::kNoParallel;
-  if (strat == GemmParallel::kSplitN && panels <= 1) return GemmParallel::kNoParallel;
-  return strat;
+/// True when a call with this strategy and row-block count actually
+/// splits across workers: serial when the shape has one block or
+/// threading is unavailable here. Purely shape/thread-count dependent,
+/// so dispatch stays deterministic.
+bool splits_rows(GemmParallel strat, int64_t mblocks) {
+  return strat == GemmParallel::kSplitM && mblocks > 1 && num_threads() > 1 &&
+         !in_parallel_region();
 }
 
 /// Run half of the per-call kernels: c (+)= A * B (+ epilogue) with B
@@ -344,39 +271,24 @@ void run_packed_b(GemmVariant variant, const float* a, const float* bpack, float
     if (has_epilogue(ep)) apply_epilogue_tile(c, N, M, N, 0, 0, ep);
     return;
   }
-  const int64_t panels = (N + NR - 1) / NR;
   const GemmTuneConfig cfg = resolve_gemm_config(variant, M, K, N);
   const MicroFn micro = micro_for(cfg.mr);
   const int64_t mblocks = (M + cfg.mc - 1) / cfg.mc;
-  switch (executable_strategy(cfg.strategy, mblocks, panels)) {
-    case GemmParallel::kNoParallel:
-      for (int64_t mb = 0; mb < mblocks; ++mb) {
-        run_mblock(a, c, M, K, N, accumulate, op, bpack, mb, 0, panels, ep, cfg, micro, s.apack);
-      }
-      return;
-    case GemmParallel::kSplitM: {
-      // Row blocks across workers. bpack is written strictly before the
-      // threads spawn (happens-before via thread creation) and is
-      // read-only inside the region; each block writes a disjoint C row
-      // range.
-      const auto workers = static_cast<size_t>(std::min<int64_t>(mblocks, num_threads()));
-      if (s.wapack.size() < workers) s.wapack.resize(workers);
-      parallel_for(0, mblocks, [&](int tid, int64_t mb) {
-        run_mblock(a, c, M, K, N, accumulate, op, bpack, mb, 0, panels, ep, cfg, micro,
-                   s.wapack[static_cast<size_t>(tid)]);
-      });
-      return;
+  if (!splits_rows(cfg.strategy, mblocks)) {
+    for (int64_t mb = 0; mb < mblocks; ++mb) {
+      run_mblock(a, c, M, K, N, accumulate, op, bpack, mb, ep, cfg, micro, s.apack);
     }
-    case GemmParallel::kSplitN:
-      // Panel ranges across workers: A is packed whole (serially, into
-      // the shared apack) and read-only in the region; each panel
-      // writes a disjoint C column range.
-      pack_a_all(a, op, M, K, cfg, s.apack);
-      parallel_for(0, panels, [&](int, int64_t p) {
-        run_panel(s.apack.data(), bpack, c, M, K, N, accumulate, ep, cfg, micro, p);
-      });
-      return;
+    return;
   }
+  // Row blocks across workers. bpack is written strictly before the
+  // threads spawn (happens-before via thread creation) and is read-only
+  // inside the region; each block writes a disjoint C row range.
+  const auto workers = static_cast<size_t>(std::min<int64_t>(mblocks, num_threads()));
+  if (s.wapack.size() < workers) s.wapack.resize(workers);
+  parallel_for(0, mblocks, [&](int tid, int64_t mb) {
+    run_mblock(a, c, M, K, N, accumulate, op, bpack, mb, ep, cfg, micro,
+               s.wapack[static_cast<size_t>(tid)]);
+  });
 }
 
 /// Shared driver for the per-call kernels: the pack half (pack_b into
@@ -431,38 +343,6 @@ void run_mblock_packed(const PackedA& A, const float* bpack, float* c, int64_t N
   }
 }
 
-/// One C panel over a pre-packed A — the split-N inner loop of the
-/// compiled conv path.
-void run_panel_packed(const PackedA& A, const float* bpack, float* c, int64_t N,
-                      const GemmEpilogue& ep, MicroFn micro, int64_t p) {
-  const GemmTuneConfig& cfg = A.cfg;
-  const int64_t M = A.rows;
-  const int64_t K = A.depth;
-  const int64_t j0 = p * NR;
-  const int64_t nr = std::min(NR, N - j0);
-  const int64_t mblocks = (M + cfg.mc - 1) / cfg.mc;
-  for (int64_t mb = 0; mb < mblocks; ++mb) {
-    const int64_t i0 = mb * cfg.mc;
-    const int64_t mc = std::min(cfg.mc, M - i0);
-    const int64_t strips = (mc + cfg.mr - 1) / cfg.mr;
-    for (int64_t kb = 0; kb < A.kblocks; ++kb) {
-      const int64_t k0 = kb * cfg.kc;
-      const int64_t kc = std::min(cfg.kc, K - k0);
-      const float* apack =
-          A.strips.data() + A.block_offset[static_cast<size_t>(mb * A.kblocks + kb)];
-      const bool overwrite = k0 == 0;
-      const bool last = k0 + kc == K;
-      const float* bp = bpack + p * K * NR + k0 * NR;
-      for (int64_t s = 0; s < strips; ++s) {
-        const int64_t i = i0 + s * cfg.mr;
-        const int64_t mr = std::min(cfg.mr, i0 + mc - i);
-        micro(apack + s * cfg.mr * kc, bp, kc, c + i * N + j0, N, mr, nr, overwrite);
-        if (last && has_epilogue(ep)) apply_epilogue_tile(c + i * N + j0, N, mr, nr, i, j0, ep);
-      }
-    }
-  }
-}
-
 }  // namespace
 
 int64_t gemm_apack_floats(int64_t M, int64_t K, const GemmTuneConfig& cfg) {
@@ -488,13 +368,11 @@ void reserve_gemm_scratch(GemmScratch& s, GemmVariant v, int64_t M, int64_t K, i
     if (static_cast<int64_t>(buf.size()) < n) buf.resize(static_cast<size_t>(n));
   };
   grow(s.bpack, packed_b_floats(K, N));
-  // Size for the serial/split-M block pack unconditionally (the runtime
-  // strategy downgrades to serial inside parallel regions), then add the
-  // parallel strategy's extra demand on top.
+  // Size the serial block pack unconditionally (the runtime strategy
+  // downgrades to serial inside parallel regions), then the per-worker
+  // packs split-M uses on top.
   grow(s.apack, gemm_apack_floats(M, K, cfg));
-  if (cfg.strategy == GemmParallel::kSplitN) {
-    grow(s.apack, gemm_apack_all_floats(M, K, cfg));
-  } else if (cfg.strategy == GemmParallel::kSplitM) {
+  if (cfg.strategy == GemmParallel::kSplitM) {
     const int64_t mblocks = (M + cfg.mc - 1) / cfg.mc;
     const size_t workers =
         static_cast<size_t>(std::min<int64_t>(mblocks, num_threads()));
@@ -560,22 +438,12 @@ void gemm_tiled_packed(const PackedA& a, const float* bpanels, float* c, int64_t
   }
   const MicroFn micro = micro_for(a.cfg.mr);
   const int64_t mblocks = (M + a.cfg.mc - 1) / a.cfg.mc;
-  const int64_t panels = (N + NR - 1) / NR;
-  switch (executable_strategy(a.cfg.strategy, mblocks, panels)) {
-    case GemmParallel::kNoParallel:
-      for (int64_t mb = 0; mb < mblocks; ++mb) {
-        run_mblock_packed(a, bpanels, c, N, ep, micro, mb);
-      }
-      return;
-    case GemmParallel::kSplitM:
-      parallel_for(0, mblocks,
-                   [&](int, int64_t mb) { run_mblock_packed(a, bpanels, c, N, ep, micro, mb); });
-      return;
-    case GemmParallel::kSplitN:
-      parallel_for(0, panels,
-                   [&](int, int64_t p) { run_panel_packed(a, bpanels, c, N, ep, micro, p); });
-      return;
+  if (!splits_rows(a.cfg.strategy, mblocks)) {
+    for (int64_t mb = 0; mb < mblocks; ++mb) run_mblock_packed(a, bpanels, c, N, ep, micro, mb);
+    return;
   }
+  parallel_for(0, mblocks,
+               [&](int, int64_t mb) { run_mblock_packed(a, bpanels, c, N, ep, micro, mb); });
 }
 
 void gemm_tiled_packed_nt(const float* a, const PackedB& b, float* c, int64_t M,
@@ -594,18 +462,9 @@ void gemm_tiled_panels(const float* a, const float* bpanels, float* c, int64_t M
                scratch != nullptr ? *scratch : local, Operands{K, 1, N, 1});
 }
 
-GemmKernel gemm_kernel() {
-  if (g_kernel_overridden.load(std::memory_order_acquire)) {
-    return g_kernel_override.load(std::memory_order_relaxed);
-  }
-  static const GemmKernel from_env = kernel_from_env();
-  return from_env;
-}
+GemmKernel gemm_kernel() { return g_kernel.load(std::memory_order_relaxed); }
 
-void set_gemm_kernel(GemmKernel k) {
-  g_kernel_override.store(k, std::memory_order_relaxed);
-  g_kernel_overridden.store(true, std::memory_order_release);
-}
+void set_gemm_kernel(GemmKernel k) { g_kernel.store(k, std::memory_order_relaxed); }
 
 const char* to_string(GemmKernel k) {
   return k == GemmKernel::kTiled ? "tiled" : "reference";

@@ -39,8 +39,8 @@ enum class GemmKernel {
   kTiled,      // packed + register-tiled + multithreaded (this file)
 };
 
-/// Active kernel. Initialised once from $CAPR_GEMM_KERNEL
-/// ("tiled" | "reference"/"ref"; default tiled), then overridable.
+/// Active kernel: tiled unless set_gemm_kernel (or a GemmKernelScope)
+/// picks the reference one.
 GemmKernel gemm_kernel();
 void set_gemm_kernel(GemmKernel k);
 const char* to_string(GemmKernel k);
@@ -120,9 +120,9 @@ inline int64_t packed_b_floats(int64_t K, int64_t N) {
 /// A fully pre-packed left operand: every (row-block, k-block) strip of
 /// the logical row-major [rows, depth] matrix, in the exact layout
 /// run_mblock packs per call. Immutable after pack_a_full. `cfg` records
-/// the tuning config the strips were laid out for (mc/kc/mr govern the
-/// layout; strategy is replayed at run time) so compiled plans carry
-/// their packing provenance and the packed kernels never have to guess.
+/// the config the strips were laid out for (mc/kc/mr govern the layout;
+/// strategy is replayed at run time) so compiled plans carry their
+/// packing provenance and the packed kernels never have to guess.
 struct PackedA {
   int64_t rows = 0;   // logical M
   int64_t depth = 0;  // logical K
@@ -135,7 +135,8 @@ struct PackedA {
 /// Packs a row-major a[M, K] into every cache-block strip at once, laid
 /// out for `cfg` (invalid configs fall back to the defaults). Callers
 /// that know the eventual N should pass resolve_gemm_config(...) so the
-/// pack matches what dispatch would pick.
+/// strategy matches the per-call kernels; any other legal mc/kc/mr
+/// gives the same bits.
 PackedA pack_a_full(const float* a, int64_t M, int64_t K,
                     const GemmTuneConfig& cfg = GemmTuneConfig{});
 
@@ -143,15 +144,15 @@ PackedA pack_a_full(const float* a, int64_t M, int64_t K,
 /// the per-worker apack requirement of the serial and split-M drivers.
 int64_t gemm_apack_floats(int64_t M, int64_t K, const GemmTuneConfig& cfg);
 
-/// Scratch demand of the whole-A pack the split-N strategy builds before
-/// fanning panels out across workers.
+/// Floats in the strips of pack_a_full(a, M, K, cfg): every cache block
+/// of A, back to back. The plan verifier checks a PackedA against it.
 int64_t gemm_apack_all_floats(int64_t M, int64_t K, const GemmTuneConfig& cfg);
 
-/// Pre-sizes `s` for the config resolve_gemm_config picks on (v, M, K, N):
-/// packed-B panels plus the A-pack demand of the resolved strategy
-/// (whole-A for split-N, per-worker buffers for split-M). A scratch warmed
-/// this way performs no allocation when the call actually runs, whatever
-/// tuning table is installed — ExecutionPlan::warm relies on it.
+/// Pre-sizes `s` for the config resolve_gemm_config returns on
+/// (v, M, K, N): packed-B panels, the serial A pack, and one A pack per
+/// worker under split-M. A scratch warmed this way performs no
+/// allocation when the call actually runs — ExecutionPlan::warm relies
+/// on it.
 void reserve_gemm_scratch(GemmScratch& s, GemmVariant v, int64_t M, int64_t K, int64_t N);
 
 /// A pre-packed right operand in NT form (logical B = w^T for a

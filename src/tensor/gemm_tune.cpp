@@ -1,143 +1,24 @@
 #include "tensor/gemm_tune.h"
 
-#include <algorithm>
-#include <cctype>
-#include <charconv>
-#include <cstdint>
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
-#include <thread>
-#include <utility>
-
-#include "util/thread_annotations.h"
-
 namespace capr {
 namespace {
 
-// The historical threading threshold (gemm_tiled.cpp): below this many
-// FLOPs the fixed dispatch never threaded. default_gemm_config keeps it
-// so an absent table reproduces the untuned behaviour exactly.
+// Below this many FLOPs (2*M*K*N) threading overhead outweighs the
+// split, so the call runs serial.
 constexpr int64_t kParallelFlops = int64_t(1) << 23;
 
-// Size-tier cuts on 2*M*K*N. 64^3 lands in kTiny's neighbour kSmall's
-// boundary region by design: tiny < 2^21 (~0.5 MFLOP matrices), small
-// < 2^25 (the threading threshold sits inside this band), medium < 2^29.
-constexpr int64_t kTierTinyFlops = int64_t(1) << 21;
-constexpr int64_t kTierSmallFlops = int64_t(1) << 25;
-constexpr int64_t kTierMediumFlops = int64_t(1) << 29;
-
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// Enum names
-// ---------------------------------------------------------------------------
 
 const char* to_string(GemmParallel s) {
   switch (s) {
     case GemmParallel::kNoParallel: return "no-parallel";
     case GemmParallel::kSplitM: return "split-m";
-    case GemmParallel::kSplitN: return "split-n";
   }
   return "no-parallel";
 }
 
-bool parse_gemm_parallel(const std::string& s, GemmParallel* out) {
-  if (s == "no-parallel") {
-    *out = GemmParallel::kNoParallel;
-  } else if (s == "split-m") {
-    *out = GemmParallel::kSplitM;
-  } else if (s == "split-n") {
-    *out = GemmParallel::kSplitN;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-const char* to_string(GemmVariant v) {
-  switch (v) {
-    case GemmVariant::kNN: return "nn";
-    case GemmVariant::kNT: return "nt";
-    case GemmVariant::kTN: return "tn";
-  }
-  return "nn";
-}
-
-bool parse_gemm_variant(const std::string& s, GemmVariant* out) {
-  if (s == "nn") {
-    *out = GemmVariant::kNN;
-  } else if (s == "nt") {
-    *out = GemmVariant::kNT;
-  } else if (s == "tn") {
-    *out = GemmVariant::kTN;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-const char* to_string(GemmShapeGeom g) {
-  switch (g) {
-    case GemmShapeGeom::kShortWide: return "short-wide";
-    case GemmShapeGeom::kTallSkinny: return "tall-skinny";
-    case GemmShapeGeom::kDeep: return "deep";
-    case GemmShapeGeom::kCubic: return "cubic";
-  }
-  return "cubic";
-}
-
-const char* to_string(GemmShapeTier t) {
-  switch (t) {
-    case GemmShapeTier::kTiny: return "tiny";
-    case GemmShapeTier::kSmall: return "small";
-    case GemmShapeTier::kMedium: return "medium";
-    case GemmShapeTier::kLarge: return "large";
-  }
-  return "tiny";
-}
-
-namespace {
-
-bool parse_geom(const std::string& s, GemmShapeGeom* out) {
-  if (s == "short-wide") {
-    *out = GemmShapeGeom::kShortWide;
-  } else if (s == "tall-skinny") {
-    *out = GemmShapeGeom::kTallSkinny;
-  } else if (s == "deep") {
-    *out = GemmShapeGeom::kDeep;
-  } else if (s == "cubic") {
-    *out = GemmShapeGeom::kCubic;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-bool parse_tier(const std::string& s, GemmShapeTier* out) {
-  if (s == "tiny") {
-    *out = GemmShapeTier::kTiny;
-  } else if (s == "small") {
-    *out = GemmShapeTier::kSmall;
-  } else if (s == "medium") {
-    *out = GemmShapeTier::kMedium;
-  } else if (s == "large") {
-    *out = GemmShapeTier::kLarge;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-}  // namespace
-
-// ---------------------------------------------------------------------------
-// Configs
-// ---------------------------------------------------------------------------
-
 const std::vector<int64_t>& legal_gemm_mr() {
-  // Must match the instantiated micro_kernel_mr<> variants in
+  // Must match the instantiated micro_kernel_t<> variants in
   // gemm_tiled.cpp; extend both together.
   static const std::vector<int64_t> kLegal = {4, 6, 8};
   return kLegal;
@@ -164,605 +45,11 @@ bool gemm_config_valid(const GemmTuneConfig& cfg, std::string* why) {
   return true;
 }
 
-GemmTuneConfig default_gemm_config(GemmVariant /*v*/, int64_t M, int64_t K, int64_t N) {
+GemmTuneConfig resolve_gemm_config(GemmVariant /*v*/, int64_t M, int64_t K, int64_t N) {
   GemmTuneConfig cfg;  // MC=72, KC=256, MR=6
   cfg.strategy =
       2 * M * K * N >= kParallelFlops ? GemmParallel::kSplitM : GemmParallel::kNoParallel;
   return cfg;
-}
-
-// ---------------------------------------------------------------------------
-// Shape classes
-// ---------------------------------------------------------------------------
-
-int GemmShapeClass::index() const {
-  return (static_cast<int>(variant) * kGemmGeomCount + static_cast<int>(geom)) * kGemmTierCount +
-         static_cast<int>(tier);
-}
-
-std::string GemmShapeClass::key() const {
-  std::string out = to_string(variant);
-  out += '/';
-  out += to_string(geom);
-  out += '/';
-  out += to_string(tier);
-  return out;
-}
-
-GemmShapeClass classify_gemm(GemmVariant v, int64_t M, int64_t K, int64_t N) {
-  GemmShapeClass cls;
-  cls.variant = v;
-  if (N >= 4 * M) {
-    cls.geom = GemmShapeGeom::kShortWide;
-  } else if (M >= 4 * N) {
-    cls.geom = GemmShapeGeom::kTallSkinny;
-  } else if (K >= 2 * std::max(M, N)) {
-    cls.geom = GemmShapeGeom::kDeep;
-  } else {
-    cls.geom = GemmShapeGeom::kCubic;
-  }
-  const int64_t flops = 2 * M * K * N;
-  if (flops < kTierTinyFlops) {
-    cls.tier = GemmShapeTier::kTiny;
-  } else if (flops < kTierSmallFlops) {
-    cls.tier = GemmShapeTier::kSmall;
-  } else if (flops < kTierMediumFlops) {
-    cls.tier = GemmShapeTier::kMedium;
-  } else {
-    cls.tier = GemmShapeTier::kLarge;
-  }
-  return cls;
-}
-
-bool parse_gemm_shape_class(const std::string& key, GemmShapeClass* out) {
-  const size_t s1 = key.find('/');
-  if (s1 == std::string::npos) return false;
-  const size_t s2 = key.find('/', s1 + 1);
-  if (s2 == std::string::npos || key.find('/', s2 + 1) != std::string::npos) return false;
-  GemmShapeClass cls;
-  if (!parse_gemm_variant(key.substr(0, s1), &cls.variant)) return false;
-  if (!parse_geom(key.substr(s1 + 1, s2 - s1 - 1), &cls.geom)) return false;
-  if (!parse_tier(key.substr(s2 + 1), &cls.tier)) return false;
-  *out = cls;
-  return true;
-}
-
-// ---------------------------------------------------------------------------
-// Tuning table
-// ---------------------------------------------------------------------------
-
-void GemmTuningTable::set(const GemmShapeClass& cls, const GemmTuneEntry& e) {
-  entries[static_cast<size_t>(cls.index())] = e;
-  entries[static_cast<size_t>(cls.index())].present = true;
-}
-
-const GemmTuneEntry* GemmTuningTable::find(const GemmShapeClass& cls) const {
-  const GemmTuneEntry& e = entries[static_cast<size_t>(cls.index())];
-  return e.present ? &e : nullptr;
-}
-
-int GemmTuningTable::present_count() const {
-  int n = 0;
-  for (const GemmTuneEntry& e : entries) n += e.present ? 1 : 0;
-  return n;
-}
-
-std::string host_fingerprint() {
-  std::string model = "unknown-cpu";
-  std::ifstream in("/proc/cpuinfo");
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.rfind("model name", 0) == 0) {
-      const size_t colon = line.find(':');
-      if (colon != std::string::npos) {
-        size_t b = colon + 1;
-        while (b < line.size() && std::isspace(static_cast<unsigned char>(line[b])) != 0) ++b;
-        if (b < line.size()) model = line.substr(b);
-      }
-      break;
-    }
-  }
-  return model + " x" + std::to_string(std::thread::hardware_concurrency());
-}
-
-const char* to_string(TuneCode c) {
-  switch (c) {
-    case TuneCode::kOk: return "OK";
-    case TuneCode::kIo: return "E-TUNE-IO";
-    case TuneCode::kParse: return "E-TUNE-PARSE";
-    case TuneCode::kSchema: return "E-TUNE-SCHEMA";
-    case TuneCode::kClass: return "E-TUNE-CLASS";
-    case TuneCode::kRange: return "E-TUNE-RANGE";
-    case TuneCode::kMicro: return "E-TUNE-MICRO";
-    case TuneCode::kStrategy: return "E-TUNE-STRATEGY";
-    case TuneCode::kHost: return "E-TUNE-HOST";
-  }
-  return "OK";
-}
-
-std::string TuneStatus::format() const {
-  if (ok()) return "OK";
-  return std::string(to_string(code)) + ": " + message;
-}
-
-// ---------------------------------------------------------------------------
-// Mini JSON reader
-//
-// report::JsonValue is deliberately write-only ("results flow out of the
-// library, not in") and the tensor layer cannot depend on report anyway.
-// Tuning tables are the one place JSON flows *into* the library, so a
-// self-contained recursive-descent reader lives here. It accepts exactly
-// the JSON subset to_json emits (objects, arrays, strings with standard
-// escapes, numbers, booleans, null) and rejects everything else.
-// ---------------------------------------------------------------------------
-
-namespace {
-
-struct JVal {
-  enum class Kind { kNull, kBool, kNum, kStr, kArr, kObj };
-  Kind kind = Kind::kNull;
-  bool b = false;
-  double num = 0.0;
-  std::string str;
-  std::vector<JVal> arr;
-  std::vector<std::pair<std::string, JVal>> obj;
-
-  const JVal* get(const std::string& key) const {
-    for (const auto& kv : obj) {
-      if (kv.first == key) return &kv.second;
-    }
-    return nullptr;
-  }
-};
-
-struct JParser {
-  const char* p;
-  const char* end;
-  std::string error;
-
-  void skip_ws() {
-    while (p < end && (*p == ' ' || *p == '\t' || *p == '\n' || *p == '\r')) ++p;
-  }
-
-  bool fail(const std::string& msg) {
-    if (error.empty()) error = msg;
-    return false;
-  }
-
-  bool parse_string(std::string* out) {
-    if (p >= end || *p != '"') return fail("expected string");
-    ++p;
-    out->clear();
-    while (p < end && *p != '"') {
-      char c = *p++;
-      if (c != '\\') {
-        out->push_back(c);
-        continue;
-      }
-      if (p >= end) return fail("dangling escape");
-      const char e = *p++;
-      switch (e) {
-        case '"': out->push_back('"'); break;
-        case '\\': out->push_back('\\'); break;
-        case '/': out->push_back('/'); break;
-        case 'b': out->push_back('\b'); break;
-        case 'f': out->push_back('\f'); break;
-        case 'n': out->push_back('\n'); break;
-        case 'r': out->push_back('\r'); break;
-        case 't': out->push_back('\t'); break;
-        case 'u': {
-          if (end - p < 4) return fail("truncated \\u escape");
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = *p++;
-            code <<= 4;
-            if (h >= '0' && h <= '9') {
-              code |= static_cast<unsigned>(h - '0');
-            } else if (h >= 'a' && h <= 'f') {
-              code |= static_cast<unsigned>(h - 'a' + 10);
-            } else if (h >= 'A' && h <= 'F') {
-              code |= static_cast<unsigned>(h - 'A' + 10);
-            } else {
-              return fail("bad \\u escape");
-            }
-          }
-          // Tables are ASCII in practice; encode BMP code points as UTF-8.
-          if (code < 0x80) {
-            out->push_back(static_cast<char>(code));
-          } else if (code < 0x800) {
-            out->push_back(static_cast<char>(0xC0 | (code >> 6)));
-            out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
-          } else {
-            out->push_back(static_cast<char>(0xE0 | (code >> 12)));
-            out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-            out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
-          }
-          break;
-        }
-        default: return fail("unknown escape");
-      }
-    }
-    if (p >= end) return fail("unterminated string");
-    ++p;  // closing quote
-    return true;
-  }
-
-  bool parse_value(JVal* out, int depth) {
-    if (depth > 32) return fail("nesting too deep");
-    skip_ws();
-    if (p >= end) return fail("unexpected end of input");
-    const char c = *p;
-    if (c == '{') {
-      ++p;
-      out->kind = JVal::Kind::kObj;
-      skip_ws();
-      if (p < end && *p == '}') {
-        ++p;
-        return true;
-      }
-      while (true) {
-        skip_ws();
-        std::string key;
-        if (!parse_string(&key)) return false;
-        skip_ws();
-        if (p >= end || *p != ':') return fail("expected ':'");
-        ++p;
-        JVal v;
-        if (!parse_value(&v, depth + 1)) return false;
-        out->obj.emplace_back(std::move(key), std::move(v));
-        skip_ws();
-        if (p < end && *p == ',') {
-          ++p;
-          continue;
-        }
-        if (p < end && *p == '}') {
-          ++p;
-          return true;
-        }
-        return fail("expected ',' or '}'");
-      }
-    }
-    if (c == '[') {
-      ++p;
-      out->kind = JVal::Kind::kArr;
-      skip_ws();
-      if (p < end && *p == ']') {
-        ++p;
-        return true;
-      }
-      while (true) {
-        JVal v;
-        if (!parse_value(&v, depth + 1)) return false;
-        out->arr.push_back(std::move(v));
-        skip_ws();
-        if (p < end && *p == ',') {
-          ++p;
-          continue;
-        }
-        if (p < end && *p == ']') {
-          ++p;
-          return true;
-        }
-        return fail("expected ',' or ']'");
-      }
-    }
-    if (c == '"') {
-      out->kind = JVal::Kind::kStr;
-      return parse_string(&out->str);
-    }
-    if (c == 't') {
-      if (end - p < 4 || std::string(p, 4) != "true") return fail("bad literal");
-      p += 4;
-      out->kind = JVal::Kind::kBool;
-      out->b = true;
-      return true;
-    }
-    if (c == 'f') {
-      if (end - p < 5 || std::string(p, 5) != "false") return fail("bad literal");
-      p += 5;
-      out->kind = JVal::Kind::kBool;
-      out->b = false;
-      return true;
-    }
-    if (c == 'n') {
-      if (end - p < 4 || std::string(p, 4) != "null") return fail("bad literal");
-      p += 4;
-      out->kind = JVal::Kind::kNull;
-      return true;
-    }
-    if (c == '-' || (c >= '0' && c <= '9')) {
-      double num = 0.0;
-      const auto res = std::from_chars(p, end, num);
-      if (res.ec != std::errc()) return fail("bad number");
-      p = res.ptr;
-      out->kind = JVal::Kind::kNum;
-      out->num = num;
-      return true;
-    }
-    return fail(std::string("unexpected character '") + c + "'");
-  }
-};
-
-bool parse_json(const std::string& text, JVal* out, std::string* error) {
-  JParser parser{text.data(), text.data() + text.size(), {}};
-  if (!parser.parse_value(out, 0)) {
-    *error = parser.error;
-    return false;
-  }
-  parser.skip_ws();
-  if (parser.p != parser.end) {
-    *error = "trailing content after document";
-    return false;
-  }
-  return true;
-}
-
-/// Reads an integral field; false (with message) when absent, not a
-/// number, or not integral.
-bool read_int(const JVal& obj, const std::string& key, int64_t* out, std::string* err) {
-  const JVal* v = obj.get(key);
-  if (v == nullptr || v->kind != JVal::Kind::kNum) {
-    *err = "entry missing numeric field \"" + key + "\"";
-    return false;
-  }
-  const int64_t i = static_cast<int64_t>(v->num);
-  if (static_cast<double>(i) != v->num) {
-    *err = "field \"" + key + "\" must be integral";
-    return false;
-  }
-  *out = i;
-  return true;
-}
-
-bool read_string(const JVal& obj, const std::string& key, std::string* out, std::string* err) {
-  const JVal* v = obj.get(key);
-  if (v == nullptr || v->kind != JVal::Kind::kStr) {
-    *err = "missing string field \"" + key + "\"";
-    return false;
-  }
-  *out = v->str;
-  return true;
-}
-
-/// Shortest round-tripping representation (std::to_chars) so that
-/// parse(to_json(t)) re-serialises byte-identically.
-std::string format_double(double v) {
-  char buf[64];
-  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
-  return std::string(buf, res.ptr);
-}
-
-void append_json_string(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\r': *out += "\\r"; break;
-      case '\t': *out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
-}  // namespace
-
-TuneStatus parse_gemm_tuning(const std::string& json_text, GemmTuningTable* out) {
-  JVal root;
-  std::string perr;
-  if (!parse_json(json_text, &root, &perr)) {
-    return {TuneCode::kParse, perr};
-  }
-  if (root.kind != JVal::Kind::kObj) {
-    return {TuneCode::kParse, "document root must be an object"};
-  }
-  const JVal* schema = root.get("schema");
-  if (schema == nullptr || schema->kind != JVal::Kind::kStr) {
-    return {TuneCode::kSchema, "missing \"schema\" field"};
-  }
-  if (schema->str != kGemmTuneSchema) {
-    return {TuneCode::kSchema,
-            "unsupported schema \"" + schema->str + "\" (want " + kGemmTuneSchema + ")"};
-  }
-  GemmTuningTable table;
-  std::string ferr;
-  if (!read_string(root, "host", &table.host, &ferr)) {
-    return {TuneCode::kParse, ferr};
-  }
-  const JVal* entries = root.get("entries");
-  if (entries == nullptr || entries->kind != JVal::Kind::kArr) {
-    return {TuneCode::kParse, "missing \"entries\" array"};
-  }
-  for (const JVal& e : entries->arr) {
-    if (e.kind != JVal::Kind::kObj) {
-      return {TuneCode::kParse, "entry must be an object"};
-    }
-    std::string class_key;
-    if (!read_string(e, "class", &class_key, &ferr)) {
-      return {TuneCode::kParse, ferr};
-    }
-    GemmShapeClass cls;
-    if (!parse_gemm_shape_class(class_key, &cls)) {
-      return {TuneCode::kClass, "unknown shape class \"" + class_key + "\""};
-    }
-    if (table.entries[static_cast<size_t>(cls.index())].present) {
-      return {TuneCode::kClass, "duplicate shape class \"" + class_key + "\""};
-    }
-    GemmTuneEntry entry;
-    if (!read_int(e, "mc", &entry.cfg.mc, &ferr) || !read_int(e, "kc", &entry.cfg.kc, &ferr) ||
-        !read_int(e, "mr", &entry.cfg.mr, &ferr)) {
-      return {TuneCode::kParse, class_key + ": " + ferr};
-    }
-    std::string strategy;
-    if (!read_string(e, "strategy", &strategy, &ferr)) {
-      return {TuneCode::kParse, class_key + ": " + ferr};
-    }
-    if (!parse_gemm_parallel(strategy, &entry.cfg.strategy)) {
-      return {TuneCode::kStrategy, class_key + ": unknown strategy \"" + strategy + "\""};
-    }
-    if (entry.cfg.mc < kGemmTuneMinMc || entry.cfg.mc > kGemmTuneMaxMc) {
-      return {TuneCode::kRange, class_key + ": mc " + std::to_string(entry.cfg.mc) + " outside [" +
-                                    std::to_string(kGemmTuneMinMc) + ", " +
-                                    std::to_string(kGemmTuneMaxMc) + "]"};
-    }
-    if (entry.cfg.kc < kGemmTuneMinKc || entry.cfg.kc > kGemmTuneMaxKc) {
-      return {TuneCode::kRange, class_key + ": kc " + std::to_string(entry.cfg.kc) + " outside [" +
-                                    std::to_string(kGemmTuneMinKc) + ", " +
-                                    std::to_string(kGemmTuneMaxKc) + "]"};
-    }
-    std::string why;
-    if (!gemm_config_valid(entry.cfg, &why)) {
-      // mc/kc were range-checked above, so the remaining failure is mr.
-      return {TuneCode::kMicro, class_key + ": " + why};
-    }
-    // Provenance fields are optional (older tools may omit them).
-    int64_t tmp = 0;
-    if (read_int(e, "rep_m", &tmp, &ferr)) entry.rep_m = tmp;
-    if (read_int(e, "rep_k", &tmp, &ferr)) entry.rep_k = tmp;
-    if (read_int(e, "rep_n", &tmp, &ferr)) entry.rep_n = tmp;
-    const JVal* g = e.get("gflops");
-    if (g != nullptr && g->kind == JVal::Kind::kNum) entry.gflops = g->num;
-    const JVal* bg = e.get("baseline_gflops");
-    if (bg != nullptr && bg->kind == JVal::Kind::kNum) entry.baseline_gflops = bg->num;
-    table.set(cls, entry);
-  }
-  *out = std::move(table);
-  return {};
-}
-
-TuneStatus load_gemm_tuning(const std::string& path, GemmTuningTable* out, bool check_host) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return {TuneCode::kIo, "cannot open " + path};
-  }
-  std::ostringstream text;
-  text << in.rdbuf();
-  if (in.bad()) {
-    return {TuneCode::kIo, "read error on " + path};
-  }
-  TuneStatus st = parse_gemm_tuning(text.str(), out);
-  if (!st.ok()) {
-    st.message = path + ": " + st.message;
-    return st;
-  }
-  if (check_host && out->host != host_fingerprint()) {
-    return {TuneCode::kHost, path + ": table tuned on \"" + out->host + "\", this host is \"" +
-                                 host_fingerprint() + "\""};
-  }
-  return {};
-}
-
-std::string to_json(const GemmTuningTable& table) {
-  std::string out;
-  out += "{\n  \"schema\": \"";
-  out += kGemmTuneSchema;
-  out += "\",\n  \"host\": ";
-  append_json_string(&out, table.host);
-  out += ",\n  \"entries\": [";
-  bool first = true;
-  for (int idx = 0; idx < kGemmShapeClassCount; ++idx) {
-    const GemmTuneEntry& e = table.entries[static_cast<size_t>(idx)];
-    if (!e.present) continue;
-    // Recover the class from its dense index (inverse of index()).
-    GemmShapeClass cls;
-    cls.variant = static_cast<GemmVariant>(idx / (kGemmGeomCount * kGemmTierCount));
-    cls.geom = static_cast<GemmShapeGeom>(idx / kGemmTierCount % kGemmGeomCount);
-    cls.tier = static_cast<GemmShapeTier>(idx % kGemmTierCount);
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    {\"class\": \"" + cls.key() + "\"";
-    out += ", \"mc\": " + std::to_string(e.cfg.mc);
-    out += ", \"kc\": " + std::to_string(e.cfg.kc);
-    out += ", \"mr\": " + std::to_string(e.cfg.mr);
-    out += ", \"strategy\": \"" + std::string(to_string(e.cfg.strategy)) + "\"";
-    out += ", \"rep_m\": " + std::to_string(e.rep_m);
-    out += ", \"rep_k\": " + std::to_string(e.rep_k);
-    out += ", \"rep_n\": " + std::to_string(e.rep_n);
-    out += ", \"gflops\": " + format_double(e.gflops);
-    out += ", \"baseline_gflops\": " + format_double(e.baseline_gflops);
-    out += "}";
-  }
-  out += first ? "]\n}\n" : "\n  ]\n}\n";
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// Installed table
-// ---------------------------------------------------------------------------
-
-namespace {
-
-Mutex g_tuning_mu;
-// The installed table and whether $CAPR_GEMM_TUNING has been resolved.
-// shared_ptr so hot-path readers hold the table alive without a lock
-// held across the GEMM itself.
-std::shared_ptr<const GemmTuningTable> g_tuning CAPR_GUARDED_BY(g_tuning_mu);
-bool g_env_resolved CAPR_GUARDED_BY(g_tuning_mu) = false;
-
-void resolve_env_locked() CAPR_REQUIRES(g_tuning_mu) {
-  if (g_env_resolved) return;
-  g_env_resolved = true;
-  const char* path = std::getenv("CAPR_GEMM_TUNING");
-  if (path == nullptr || *path == '\0' || std::string(path) == "off") return;
-  auto table = std::make_shared<GemmTuningTable>();
-  const TuneStatus st = load_gemm_tuning(path, table.get());
-  if (!st.ok()) {
-    std::fprintf(stderr, "capr: CAPR_GEMM_TUNING ignored: %s\n", st.format().c_str());
-    return;
-  }
-  g_tuning = std::move(table);
-}
-
-}  // namespace
-
-std::shared_ptr<const GemmTuningTable> gemm_tuning() {
-  MutexLock lock(g_tuning_mu);
-  resolve_env_locked();
-  return g_tuning;
-}
-
-void set_gemm_tuning(std::shared_ptr<const GemmTuningTable> table) {
-  MutexLock lock(g_tuning_mu);
-  g_env_resolved = true;  // an explicit install overrides the env var
-  g_tuning = std::move(table);
-}
-
-GemmTuningScope::GemmTuningScope(std::shared_ptr<const GemmTuningTable> table)
-    : saved_(gemm_tuning()) {
-  set_gemm_tuning(std::move(table));
-}
-
-GemmTuningScope::~GemmTuningScope() { set_gemm_tuning(std::move(saved_)); }
-
-std::shared_ptr<const GemmTuningTable> single_entry_table(GemmVariant v, int64_t M, int64_t K,
-                                                          int64_t N, const GemmTuneConfig& cfg) {
-  auto table = std::make_shared<GemmTuningTable>();
-  table->host = host_fingerprint();
-  GemmTuneEntry e;
-  e.cfg = cfg;
-  e.rep_m = M;
-  e.rep_k = K;
-  e.rep_n = N;
-  table->set(classify_gemm(v, M, K, N), e);
-  return table;
-}
-
-GemmTuneConfig resolve_gemm_config(GemmVariant v, int64_t M, int64_t K, int64_t N) {
-  const std::shared_ptr<const GemmTuningTable> table = gemm_tuning();
-  if (table != nullptr) {
-    const GemmTuneEntry* e = table->find(classify_gemm(v, M, K, N));
-    if (e != nullptr) return e->cfg;
-  }
-  return default_gemm_config(v, M, K, N);
 }
 
 }  // namespace capr

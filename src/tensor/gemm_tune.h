@@ -1,88 +1,55 @@
-// Per-shape GEMM tuning: shape classes, tuning configs, and the
-// committed tuning-table format consulted by the tiled-kernel dispatch.
+// The tiled GEMM's kernel configuration: cache blocking, micro-kernel
+// height and parallelization strategy, resolved by one pure function.
 //
-// The tiled GEMM (gemm_tiled.h) historically ran one fixed blocking
-// (MC=72, KC=256, MR=6x16) and one parallelization strategy everywhere.
-// BENCH_kernels.json shows that leaves large wins on the table: thread
-// scaling is ~3.4x at 256^3 yet ~1.0x at 64^3 and at the skinny im2col
-// shapes pruned models produce. This header defines the pieces that fix
-// that without giving up determinism:
-//
-//   * GemmTuneConfig — cache blocking (mc, kc), micro-kernel height
-//     (mr; the panel width NR is fixed by the packed-B layout), and a
-//     parallelization strategy mirroring tt-metal's explicit per-op
-//     ConvOpParallelizationStrategy: no-parallel / split-M / split-N.
-//   * a shape classifier bucketing (variant, M, K, N) into a small set
-//     of stable classes (geometry x size tier) so tables stay tiny and
-//     the hot-path lookup is O(1).
-//   * GemmTuningTable — one optional config per shape class, with a
-//     host fingerprint; serialised as deterministic JSON
-//     (schema capr-gemm-tune-v1, committed at tuning/default.json) and
-//     parsed with hard validation under stable E-TUNE-* error codes.
-//   * process-global installation (set_gemm_tuning / GemmTuningScope /
-//     $CAPR_GEMM_TUNING) and resolve_gemm_config(), the per-call
-//     resolution the tiled kernels use.
+// Every tiled call runs one fixed blocking, MC=72, KC=256, MR=6 (the
+// panel width NR is fixed at 16 by the packed-B layout). Problems of at
+// least 2*M*K*N = 2^23 FLOPs split their row blocks across workers;
+// smaller ones run serial. resolve_gemm_config() returns exactly that;
+// it reads no global state, so it needs no lock. compile() bakes the
+// same config into every pre-packed conv (pack_a_full), and the packed
+// executor replays what the PackedA records.
 //
 // Determinism contract: the tiled kernel accumulates every C element in
 // strictly k-ascending order, continuing the chain across k-blocks
 // (gemm_tiled.cpp pre-loads C into the accumulators). That makes the
-// result bitwise INVARIANT to mc, kc, mr, the strategy, and the worker
-// count — so any table, on any host, changes only speed, never bits.
-// The autotuner (src/tune) still proves the 1-vs-N bitwise check for a
-// config before it becomes eligible for a table entry.
+// result bitwise INVARIANT to mc, kc, mr, the strategy and the worker
+// count, so an explicit pack_a_full config changes only speed, never
+// bits (pinned by tests/gemm_tiled_test.cpp).
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 namespace capr {
 
-// ---------------------------------------------------------------------------
-// Configs
-// ---------------------------------------------------------------------------
-
 /// How the tiled kernel distributes one GEMM over workers. Mirrors
-/// tt-metal's ConvOpParallelizationStrategy: an explicit enum resolved
-/// per shape class, not a global heuristic.
+/// tt-metal's ConvOpParallelizationStrategy: an explicit enum carried
+/// on the config, not a global heuristic.
 enum class GemmParallel {
   kNoParallel,  // serial: small problems where threading overhead loses
-  kSplitM,      // row blocks of C across workers (the historical default)
-  kSplitN,      // column-panel ranges across workers (skinny-M shapes)
+  kSplitM,      // row blocks of C across workers
 };
 
-const char* to_string(GemmParallel s);
-bool parse_gemm_parallel(const std::string& s, GemmParallel* out);
+const char* to_string(GemmParallel s);  // "no-parallel" | "split-m"
 
-/// Transpose variant of the call site; part of the shape-class key
-/// because packing cost differs per operand layout.
+/// Transpose variant of the call site.
 enum class GemmVariant { kNN, kNT, kTN };
 
-const char* to_string(GemmVariant v);
-bool parse_gemm_variant(const std::string& s, GemmVariant* out);
-
-/// One resolved kernel configuration. The packed-B panel width (NR) is
-/// fixed at kPanelWidth by the compiled-plan layouts; mr is the only
-/// legal micro-kernel degree of freedom (see legal_gemm_mr()).
+/// One kernel configuration. The packed-B panel width (NR) is fixed at
+/// kPanelWidth by the compiled-plan layouts; mr is the only micro-kernel
+/// degree of freedom (see legal_gemm_mr()).
 struct GemmTuneConfig {
   int64_t mc = 72;
   int64_t kc = 256;
   int64_t mr = 6;
   GemmParallel strategy = GemmParallel::kSplitM;
-
-  bool operator==(const GemmTuneConfig& o) const {
-    return mc == o.mc && kc == o.kc && mr == o.mr && strategy == o.strategy;
-  }
-  bool operator!=(const GemmTuneConfig& o) const { return !(*this == o); }
 };
 
-/// Micro-kernel heights with a compiled register-tile variant. Anything
-/// else is E-TUNE-MICRO in a table.
+/// Micro-kernel heights with a compiled register-tile variant.
 const std::vector<int64_t>& legal_gemm_mr();
 
-/// Bounds for cache blocking; outside is E-TUNE-RANGE in a table.
+/// Bounds for cache blocking that gemm_config_valid accepts.
 inline constexpr int64_t kGemmTuneMinMc = 1;
 inline constexpr int64_t kGemmTuneMaxMc = 4096;
 inline constexpr int64_t kGemmTuneMinKc = 8;
@@ -92,165 +59,8 @@ inline constexpr int64_t kGemmTuneMaxKc = 8192;
 /// and (optionally) a human reason.
 bool gemm_config_valid(const GemmTuneConfig& cfg, std::string* why = nullptr);
 
-/// The untuned behaviour: MC=72/KC=256/MR=6, split-M for problems past
-/// the historical 2*M*K*N >= 2^23 threading threshold, serial below it.
-GemmTuneConfig default_gemm_config(GemmVariant v, int64_t M, int64_t K, int64_t N);
-
-// ---------------------------------------------------------------------------
-// Shape classes
-// ---------------------------------------------------------------------------
-
-/// Output-geometry bucket. Precedence (short-wide, tall-skinny, deep,
-/// cubic) is part of the stable contract: reordering would silently
-/// re-key committed tables.
-enum class GemmShapeGeom {
-  kShortWide,   // N >= 4*M: few output rows, wide panels (late im2col)
-  kTallSkinny,  // M >= 4*N: many output rows, few panels
-  kDeep,        // K >= 2*max(M, N): reduction-dominated
-  kCubic,       // everything else
-};
-
-/// Size tier by total FLOPs (2*M*K*N).
-enum class GemmShapeTier { kTiny, kSmall, kMedium, kLarge };
-
-const char* to_string(GemmShapeGeom g);
-const char* to_string(GemmShapeTier t);
-
-inline constexpr int kGemmVariantCount = 3;
-inline constexpr int kGemmGeomCount = 4;
-inline constexpr int kGemmTierCount = 4;
-inline constexpr int kGemmShapeClassCount =
-    kGemmVariantCount * kGemmGeomCount * kGemmTierCount;
-
-/// A stable shape-class id: (variant, geometry, tier). index() is the
-/// dense table slot; key() the human/JSON form, e.g. "nn/short-wide/small".
-struct GemmShapeClass {
-  GemmVariant variant = GemmVariant::kNN;
-  GemmShapeGeom geom = GemmShapeGeom::kCubic;
-  GemmShapeTier tier = GemmShapeTier::kTiny;
-
-  int index() const;
-  std::string key() const;
-
-  bool operator==(const GemmShapeClass& o) const {
-    return variant == o.variant && geom == o.geom && tier == o.tier;
-  }
-};
-
-/// O(1), allocation-free classification; the hot-path half of lookup.
-GemmShapeClass classify_gemm(GemmVariant v, int64_t M, int64_t K, int64_t N);
-
-/// Parses a key produced by GemmShapeClass::key(). False on unknown parts.
-bool parse_gemm_shape_class(const std::string& key, GemmShapeClass* out);
-
-// ---------------------------------------------------------------------------
-// Tuning table
-// ---------------------------------------------------------------------------
-
-inline constexpr const char* kGemmTuneSchema = "capr-gemm-tune-v1";
-
-/// Identifies the machine a table was measured on. Tables from another
-/// host load with E-TUNE-HOST; callers decide whether to fall back
-/// (dispatch does) or merely warn (capr-tune --verify does).
-std::string host_fingerprint();
-
-/// One shape class's tuned entry plus the measurement provenance the
-/// autotuner recorded (rep_* and gflops are informative, not load-bearing;
-/// capr-tune --verify re-measures them to report drift).
-struct GemmTuneEntry {
-  bool present = false;
-  GemmTuneConfig cfg;
-  int64_t rep_m = 0, rep_k = 0, rep_n = 0;  // shape the search measured
-  double gflops = 0.0;                      // tuned throughput at tune time
-  double baseline_gflops = 0.0;             // default-config throughput then
-};
-
-/// A fixed-size, O(1)-lookup table: one optional entry per shape class.
-struct GemmTuningTable {
-  std::string host;  // fingerprint recorded at generation time
-  std::array<GemmTuneEntry, kGemmShapeClassCount> entries{};
-
-  void set(const GemmShapeClass& cls, const GemmTuneEntry& e);
-  const GemmTuneEntry* find(const GemmShapeClass& cls) const;
-  int present_count() const;
-};
-
-/// Stable machine-readable failure codes for table loading. kOk is the
-/// success sentinel; everything else maps to an E-TUNE-* string.
-enum class TuneCode {
-  kOk,
-  kIo,        // E-TUNE-IO: file missing or unreadable
-  kParse,     // E-TUNE-PARSE: malformed JSON
-  kSchema,    // E-TUNE-SCHEMA: missing/unknown schema version
-  kClass,     // E-TUNE-CLASS: unknown or duplicate shape-class key
-  kRange,     // E-TUNE-RANGE: mc/kc outside the legal bounds
-  kMicro,     // E-TUNE-MICRO: mr without a compiled micro-kernel variant
-  kStrategy,  // E-TUNE-STRATEGY: unknown parallelization strategy
-  kHost,      // E-TUNE-HOST: table measured on a different machine
-};
-
-const char* to_string(TuneCode c);  // "E-TUNE-IO", ... ("OK" for kOk)
-
-struct TuneStatus {
-  TuneCode code = TuneCode::kOk;
-  std::string message;
-
-  bool ok() const { return code == TuneCode::kOk; }
-  std::string format() const;  // "E-TUNE-RANGE: mc 9000 outside [1, 4096]"
-};
-
-/// Parses and hard-validates a capr-gemm-tune-v1 document. On success
-/// fills `out` (including its recorded host string). Never throws.
-TuneStatus parse_gemm_tuning(const std::string& json_text, GemmTuningTable* out);
-
-/// Reads `path` and parses it. With check_host, a table whose recorded
-/// host differs from host_fingerprint() yields E-TUNE-HOST — the table
-/// is still fully parsed into `out` so callers can inspect or force it.
-TuneStatus load_gemm_tuning(const std::string& path, GemmTuningTable* out,
-                            bool check_host = true);
-
-/// Deterministic serialisation: entries ascending by class index, fixed
-/// key order, integral numbers without decimal points. Byte-stable for
-/// a given table, so regenerated files diff cleanly.
-std::string to_json(const GemmTuningTable& table);
-
-// ---------------------------------------------------------------------------
-// Installation + hot-path resolution
-// ---------------------------------------------------------------------------
-
-/// The installed table (possibly null). First call resolves
-/// $CAPR_GEMM_TUNING: unset/empty/"off" installs nothing; otherwise the
-/// file is loaded (host-checked) and a failure warns once on stderr and
-/// installs nothing. Thread-safe.
-std::shared_ptr<const GemmTuningTable> gemm_tuning();
-
-/// Installs (or clears, with nullptr) the process-wide table.
-void set_gemm_tuning(std::shared_ptr<const GemmTuningTable> table);
-
-/// Pins a table for one scope; restores the previous one. Test helper,
-/// and how the autotuner measures candidate configs through the real
-/// dispatch path.
-class GemmTuningScope {
- public:
-  explicit GemmTuningScope(std::shared_ptr<const GemmTuningTable> table);
-  ~GemmTuningScope();
-  GemmTuningScope(const GemmTuningScope&) = delete;
-  GemmTuningScope& operator=(const GemmTuningScope&) = delete;
-
- private:
-  std::shared_ptr<const GemmTuningTable> saved_;
-};
-
-/// Builds a table holding `cfg` for the class of (v, M, K, N) — the
-/// one-entry scope the search engine and tests pin candidates with.
-std::shared_ptr<const GemmTuningTable> single_entry_table(GemmVariant v, int64_t M,
-                                                          int64_t K, int64_t N,
-                                                          const GemmTuneConfig& cfg);
-
-/// Per-call resolution on the dispatch hot path: classify, look up the
-/// installed table, fall back to default_gemm_config. Invalid table
-/// entries can't exist (loading hard-validates), so the result is
-/// always a legal config.
+/// The config every tiled call on (v, M, K, N) runs: MC=72/KC=256/MR=6,
+/// split-M when 2*M*K*N >= 2^23, serial below. Pure and lock-free.
 GemmTuneConfig resolve_gemm_config(GemmVariant v, int64_t M, int64_t K, int64_t N);
 
 }  // namespace capr

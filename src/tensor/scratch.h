@@ -28,10 +28,9 @@ struct GemmScratch {
   std::vector<float> apack;
   std::vector<float> bpack;
   std::vector<float> tpose;
-  // Per-worker A-pack buffers for the parallel strategies (one per
-  // worker slot, grown on first use and reused across calls so a warmed
-  // steady state performs no allocation even when the resolved tuning
-  // config threads the GEMM).
+  // Per-worker A-pack buffers for split-M (one per worker slot, grown
+  // on first use and reused across calls so a warmed steady state
+  // performs no allocation even when the GEMM threads).
   std::vector<std::vector<float>> wapack;
 };
 

@@ -1,9 +1,13 @@
 // Differential tests of the tiled GEMM against the reference kernel:
 // adversarial tile-remainder shapes, and the exact im2col GEMM shapes
-// every builder architecture lowers to.
+// every builder architecture lowers to. Plus the kernel's config
+// contract: the fixed config resolve_gemm_config returns, and outputs
+// bitwise invariant to mc/kc/mr, the strategy and the worker count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include "analysis/shape_inference.h"
@@ -11,7 +15,9 @@
 #include "nn/conv2d.h"
 #include "tensor/gemm.h"
 #include "tensor/gemm_tiled.h"
+#include "tensor/gemm_tune.h"
 #include "tensor/im2col.h"
+#include "tensor/parallel.h"
 #include "tensor/rng.h"
 #include "testutil/testutil.h"
 #include "verify/shape_sweep.h"
@@ -130,6 +136,156 @@ TEST(GemmTiledEdgeTest, ScratchReuseAcrossDifferentShapes) {
     const auto rep = testing::allclose_report(got, want, 1e-4f, 1e-3f);
     EXPECT_TRUE(rep.ok) << "mkn=" << mkn << ": " << rep.message;
   }
+}
+
+// ---- config --------------------------------------------------------------
+
+TEST(GemmConfigTest, ValidatesRangesAndMicroKernel) {
+  EXPECT_TRUE(gemm_config_valid(GemmTuneConfig{}));
+  for (int64_t mr : legal_gemm_mr()) {
+    GemmTuneConfig cfg;
+    cfg.mr = mr;
+    EXPECT_TRUE(gemm_config_valid(cfg)) << "mr=" << mr;
+  }
+  GemmTuneConfig bad;
+  bad.mc = 0;
+  EXPECT_FALSE(gemm_config_valid(bad));
+  bad = GemmTuneConfig{};
+  bad.mc = kGemmTuneMaxMc + 1;
+  EXPECT_FALSE(gemm_config_valid(bad));
+  bad = GemmTuneConfig{};
+  bad.kc = kGemmTuneMinKc - 1;
+  EXPECT_FALSE(gemm_config_valid(bad));
+  bad = GemmTuneConfig{};
+  bad.mr = 5;
+  std::string why;
+  EXPECT_FALSE(gemm_config_valid(bad, &why));
+  EXPECT_NE(why.find("mr"), std::string::npos) << why;
+}
+
+TEST(GemmConfigTest, FixedConfigSplitsRowsFromTwoToTheTwentyThreeFlops) {
+  for (GemmVariant v : {GemmVariant::kNN, GemmVariant::kNT, GemmVariant::kTN}) {
+    const GemmTuneConfig cfg = resolve_gemm_config(v, 256, 256, 256);
+    EXPECT_EQ(cfg.mc, 72);
+    EXPECT_EQ(cfg.kc, 256);
+    EXPECT_EQ(cfg.mr, 6);
+    EXPECT_EQ(cfg.strategy, GemmParallel::kSplitM);
+    EXPECT_EQ(resolve_gemm_config(v, 64, 64, 64).strategy, GemmParallel::kNoParallel);
+    // 2*128*128*256 is exactly 2^23: the first split-M shape.
+    EXPECT_EQ(resolve_gemm_config(v, 128, 128, 256).strategy, GemmParallel::kSplitM);
+    EXPECT_EQ(resolve_gemm_config(v, 128, 128, 255).strategy, GemmParallel::kNoParallel);
+  }
+}
+
+// ---- bitwise invariance --------------------------------------------------
+
+std::vector<float> fill(int64_t count, uint64_t seed) {
+  std::vector<float> v(static_cast<size_t>(count));
+  Rng rng(seed);
+  for (float& x : v) x = rng.uniform(-2.0f, 2.0f);
+  return v;
+}
+
+bool same_bits(const std::vector<float>& x, const std::vector<float>& y) {
+  return x.size() == y.size() && std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) == 0;
+}
+
+/// Row-major operands of an NN product c[M, N] = a[M, K] * b[K, N], with
+/// b also packed into pack_b panels (via its transpose and pack_b_nt).
+struct NNProblem {
+  int64_t m, k, n;
+  std::vector<float> a, b;
+  PackedB panels;
+
+  NNProblem(int64_t m_, int64_t k_, int64_t n_) : m(m_), k(k_), n(n_) {
+    a = fill(m * k, 7);
+    b = fill(k * n, 8);
+    std::vector<float> bt(static_cast<size_t>(n * k));
+    for (int64_t kk = 0; kk < k; ++kk) {
+      for (int64_t j = 0; j < n; ++j) {
+        bt[static_cast<size_t>(j * k + kk)] = b[static_cast<size_t>(kk * n + j)];
+      }
+    }
+    panels = pack_b_nt(bt.data(), n, k);
+  }
+
+  std::vector<float> tiled() const {
+    std::vector<float> c(static_cast<size_t>(m * n));
+    GemmScratch scratch;
+    gemm_tiled(a.data(), b.data(), c.data(), m, k, n, /*accumulate=*/false, &scratch);
+    return c;
+  }
+
+  std::vector<float> packed(const GemmTuneConfig& cfg) const {
+    std::vector<float> c(static_cast<size_t>(m * n));
+    gemm_tiled_packed(pack_a_full(a.data(), m, k, cfg), panels.panels.data(), c.data(), n);
+    return c;
+  }
+};
+
+TEST(GemmTiledBitwiseTest, PackedOutputInvariantToConfig) {
+  // Remainder-heavy shapes: partial strips, partial panels, K spanning
+  // several k-blocks under small kc.
+  const int64_t shapes[][3] = {{7, 19, 33}, {1, 300, 17}, {72, 72, 16}, {13, 520, 48}};
+  set_num_threads(4);
+  for (const auto& sh : shapes) {
+    const NNProblem p(sh[0], sh[1], sh[2]);
+    const std::vector<float> ref = p.tiled();
+    for (int64_t mc : {1, 16, 36, 72, 144}) {
+      for (int64_t kc : {8, 64, 256, 512}) {
+        for (int64_t mr : legal_gemm_mr()) {
+          for (GemmParallel strat : {GemmParallel::kNoParallel, GemmParallel::kSplitM}) {
+            const GemmTuneConfig cfg{mc, kc, mr, strat};
+            ASSERT_TRUE(same_bits(ref, p.packed(cfg)))
+                << sh[0] << "x" << sh[1] << "x" << sh[2] << " mc=" << mc << " kc=" << kc
+                << " mr=" << mr << " " << to_string(strat);
+          }
+        }
+      }
+    }
+  }
+  set_num_threads(0);
+}
+
+TEST(GemmTiledBitwiseTest, OneVsManyWorkers) {
+  // Past the 2^23 threshold with three MC=72 row blocks, so split-M runs.
+  const int64_t M = 200, K = 300, N = 150;
+  const GemmTuneConfig cfg = resolve_gemm_config(GemmVariant::kNN, M, K, N);
+  ASSERT_EQ(cfg.strategy, GemmParallel::kSplitM);
+  ASSERT_EQ((M + cfg.mc - 1) / cfg.mc, 3);
+
+  const NNProblem p(M, K, N);
+  const std::vector<float> a_tn = fill(K * M, 9);
+  const std::vector<float> b_nt = fill(N * K, 10);
+  const std::vector<float> c0 = fill(M * N, 11);  // accumulate starts from this
+  const auto run_all = [&] {
+    std::vector<std::vector<float>> out;
+    out.push_back(p.packed(cfg));
+    for (bool accumulate : {false, true}) {
+      std::vector<float> c = c0;
+      GemmScratch s;
+      gemm_tiled(p.a.data(), p.b.data(), c.data(), M, K, N, accumulate, &s);
+      out.push_back(c);
+      c = c0;
+      gemm_tiled_nt(p.a.data(), b_nt.data(), c.data(), M, K, N, accumulate, &s);
+      out.push_back(c);
+      c = c0;
+      gemm_tiled_tn(a_tn.data(), p.b.data(), c.data(), M, K, N, accumulate, &s);
+      out.push_back(c);
+    }
+    return out;
+  };
+  const char* names[] = {"packed", "nn", "nt", "tn", "nn+acc", "nt+acc", "tn+acc"};
+  set_num_threads(1);
+  const std::vector<std::vector<float>> serial = run_all();
+  for (int threads : {2, 4, 7}) {
+    set_num_threads(threads);
+    const std::vector<std::vector<float>> parallel = run_all();
+    for (size_t i = 0; i < serial.size(); ++i) {
+      EXPECT_TRUE(same_bits(serial[i], parallel[i])) << names[i] << " threads=" << threads;
+    }
+  }
+  set_num_threads(0);
 }
 
 }  // namespace

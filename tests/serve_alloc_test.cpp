@@ -15,12 +15,15 @@
 #include <future>
 #include <vector>
 
+#include "compile/compiler.h"
 #include "compile/plan.h"
+#include "graph/graph.h"
 #include "models/builders.h"
 #include "serve/server.h"
 #include "serve/session.h"
 #include "tensor/gemm_tiled.h"
 #include "tensor/gemm_tune.h"
+#include "tensor/parallel.h"
 #include "tensor/rng.h"
 
 namespace capr::serve {
@@ -81,42 +84,67 @@ TEST(ServeAllocTest, CompiledRunRefIsAllocationFreeAfterWarm) {
   }
 }
 
-// Same zero-alloc contract under a non-default tuning table: warm()
-// pre-sizes scratch from the RESOLVED per-class config (including the
-// larger whole-A packing split-N demands), not from the default one, so
-// an installed tuning table must not reintroduce steady-state growth.
-TEST(ServeAllocTest, CompiledRunRefIsAllocationFreeUnderTunedConfig) {
-  auto table = std::make_shared<GemmTuningTable>();
-  table->host = host_fingerprint();
-  GemmTuneEntry entry;
-  entry.present = true;
-  entry.cfg = {40, 64, 4, GemmParallel::kSplitN};  // non-default on purpose
-  for (auto& slot : table->entries) slot = entry;
-
+// Same zero-alloc contract where a GEMM threads. Without pre-packed
+// weights a conv step runs gemm_tiled per image. At batch 1 that call is
+// outside any parallel region, so a conv of at least 2^23 FLOPs splits
+// its row blocks across workers. vgg11 (width 1.0) at 16 px has one:
+// its 128-channel conv is M=128, K=576, N=64, 2*M*K*N ~ 9.4M, in two
+// row blocks of MC=72. warm() at batch 4 runs those GEMMs serially
+// inside per-image workers, so only its reserve_gemm_scratch pass can
+// size the per-worker A packs the later batch-1 split needs. GemmScratch
+// vectors are outside float_alloc_count, so their capacities are
+// checked directly.
+TEST(ServeAllocTest, CompiledRunRefIsAllocationFreeThroughSplitMGemm) {
   GemmKernelScope kernel(GemmKernel::kTiled);
-  GemmTuningScope tuning(table);
-  SessionOptions opts;
-  opts.mode = SessionOptions::Mode::kCompiled;
-  const InferenceSession session(models::make_model("resnet20", small_cfg()), opts);
-  ASSERT_NE(session.plan(), nullptr);
+  set_num_threads(4);
+  models::BuildConfig cfg;
+  cfg.num_classes = 4;
+  cfg.input_size = 16;
+  cfg.width_mult = 1.0f;
+  const nn::Model model = models::make_model("vgg11", cfg);
+  const graph::ModuleGraph g = graph::ModuleGraph::build(model);
+  ASSERT_TRUE(g.ok());
+  compile::CompileOptions copts;
+  copts.prepack_weights = false;
+  const compile::CompileResult result = compile::compile(g, copts);
+  ASSERT_NE(result.plan, nullptr);
+  const compile::ExecutionPlan& plan = *result.plan;
 
-  constexpr int64_t kMaxBatch = 4;
+  bool splits = false;
+  for (const compile::Step& s : plan.steps()) {
+    if (s.kind != compile::StepKind::kConv) continue;
+    const GemmTuneConfig c = resolve_gemm_config(GemmVariant::kNN, s.out_channels,
+                                                 s.geom.col_rows(), s.geom.col_cols());
+    splits = splits || (c.strategy == GemmParallel::kSplitM && s.out_channels > c.mc);
+  }
+  ASSERT_TRUE(splits) << "no conv step splits its rows: the test reaches no parallel GEMM";
+
+  constexpr int kMaxBatch = 4;
+  const Shape in = {cfg.input_channels, cfg.input_size, cfg.input_size};
+  const Tensor full = random_batch(in, kMaxBatch, 15);
+  const Tensor single = random_batch(in, 1, 16);
   nn::InferScratch scratch;
-  session.warm(scratch, kMaxBatch);
+  plan.warm(scratch, kMaxBatch);
+  ASSERT_GE(scratch.arena.gemm(0).wapack.size(), 2u) << "warm() reserved no per-worker A packs";
 
-  const Tensor full = random_batch(session.input_shape(), kMaxBatch, 13);
-  const Tensor single = random_batch(session.input_shape(), 1, 14);
-  session.run_ref(full, scratch);
-  session.run_ref(single, scratch);
-
+  const auto capacities = [&] {
+    std::vector<size_t> out;
+    for (int t = 0; t < kMaxBatch; ++t) {
+      const GemmScratch& gs = scratch.arena.gemm(t);
+      out.insert(out.end(), {gs.apack.capacity(), gs.bpack.capacity(), gs.wapack.size()});
+      for (const std::vector<float>& w : gs.wapack) out.push_back(w.capacity());
+    }
+    return out;
+  };
+  const std::vector<size_t> warmed = capacities();
   const uint64_t before = float_alloc_count();
   for (int i = 0; i < 16; ++i) {
-    session.run_ref(full, scratch);
-    session.run_ref(single, scratch);
+    plan.run_ref(single, scratch);
+    plan.run_ref(full, scratch);
   }
-  EXPECT_EQ(float_alloc_count(), before)
-      << "steady state allocated under a tuned (split-N, mc=40/kc=64/mr=4) config — "
-      << "warm() is pre-sizing from the default config instead of the resolved one";
+  EXPECT_EQ(float_alloc_count(), before) << "steady state allocated through a split-M GEMM";
+  EXPECT_EQ(capacities(), warmed) << "GEMM scratch grew after warm()";
+  set_num_threads(0);
 }
 
 // Contrast: the interpreted path constructs fresh intermediate tensors
