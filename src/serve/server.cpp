@@ -31,6 +31,12 @@ std::future<InferResult> ready_future(RequestStatus status) {
 
 }  // namespace
 
+std::chrono::nanoseconds idle_poll_window(int workers) {
+  const unsigned cores = std::thread::hardware_concurrency();  // 0 when unknown
+  return cores > static_cast<unsigned>(std::max(workers, 0)) ? kIdlePollWindow
+                                                              : std::chrono::nanoseconds{0};
+}
+
 const char* to_string(RequestStatus status) {
   switch (status) {
     case RequestStatus::kOk:
@@ -58,6 +64,9 @@ InferenceServer::InferenceServer(std::shared_ptr<ModelRegistry> registry, Server
   int workers = cfg_.workers > 0 ? cfg_.workers : num_threads();
   if (workers < 1) workers = 1;
   cfg_.workers = workers;
+  queue_.set_poll_window(idle_poll_window(workers));
+  // A worker counts as idle from its start until it takes a request.
+  idle_workers_.store(workers, std::memory_order_relaxed);
   // Hold join_mu_ while spawning: a worker never touches workers_, so
   // this cannot deadlock, and the guarded field is only ever accessed
   // under its mutex.
@@ -218,14 +227,19 @@ void InferenceServer::worker_loop() {
   Tensor stacked;  // persistent; reset (capacity-reusing) per batch
   std::vector<Request> batch;
   std::vector<Request*> group;
+  std::vector<Request*> live;
   for (;;) {
     batch.clear();
     std::optional<Request> first = queue_.pop();
+    idle_workers_.fetch_sub(1, std::memory_order_relaxed);
     if (!first) return;  // closed and fully drained
     batch.push_back(std::move(*first));
     if (cfg_.max_batch > 1 && batch.size() < cfg_.max_batch) {
       queue_.drain_into(batch, cfg_.max_batch);
-      if (batch.size() < cfg_.max_batch && cfg_.max_delay_us > 0) {
+      // Work-conserving linger: wait for stragglers only when no other
+      // worker is idle to take them at once.
+      if (batch.size() < cfg_.max_batch && cfg_.max_delay_us > 0 &&
+          idle_workers_.load(std::memory_order_relaxed) == 0) {
         queue_.drain_until(batch, cfg_.max_batch,
                            Clock::now() + std::chrono::microseconds(cfg_.max_delay_us));
       }
@@ -244,20 +258,21 @@ void InferenceServer::worker_loop() {
       for (size_t j = i + 1; j < batch.size(); ++j) {
         if (batch[j].session.get() == session) group.push_back(&batch[j]);
       }
-      process_group(group, scratch, stacked);
+      process_group(group, live, scratch, stacked);
       // Release each request's drain token as soon as its promise is
       // set (and mark it claimed for the partition scan).
       for (Request* r : group) r->session.reset();
     }
+    idle_workers_.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
-void InferenceServer::process_group(std::vector<Request*>& group, nn::InferScratch& scratch,
+void InferenceServer::process_group(const std::vector<Request*>& group,
+                                    std::vector<Request*>& live, nn::InferScratch& scratch,
                                     Tensor& stacked) {
   const Clock::time_point picked = Clock::now();
   const InferenceSession& session = *group.front()->session;
-  std::vector<Request*> live;
-  live.reserve(group.size());
+  live.clear();
   for (Request* r : group) {
     if (r->deadline < picked) {
       // Count BEFORE resolving the future: a client that has observed its

@@ -4,11 +4,24 @@
 // Clients submit single samples — optionally routed by model id and
 // carrying a tenant/priority ticket — and get a std::future for the
 // result. Workers pull from a bounded MPSC queue; each pop coalesces
-// whatever else is already queued (up to max_batch) and then lingers up
-// to max_delay_us for stragglers before running the batch — large
-// batches amortise per-call overhead under load, while a lone request
-// never waits longer than the linger window. A coalesced batch may mix
-// models; workers partition it by session and run each group separately.
+// whatever else is already queued (up to max_batch). The batching is
+// work-conserving: a worker lingers up to max_delay_us for stragglers
+// only when no other worker is idle. While one is, the batch runs at
+// once and a straggler goes to the idle worker, so a lone request on a
+// lightly loaded server never waits out the linger; under load, when
+// every worker is busy, batches still grow to amortise per-call
+// overhead. A coalesced batch may mix models; workers partition it by
+// session and run each group separately.
+//
+// Idle workers poll, then park. A submit that has to wake a worker
+// sleeping on the queue's condition variable makes a FUTEX_WAKE, and on
+// a virtualised host that call has been measured to stall the
+// submitting thread for up to ~16 ms (perfbench serve-overhead: 542 of
+// the 573 ms spent in submits slower than 50 µs was that one call). So
+// when the host has a core to spare beyond the workers, an idle worker
+// (and a lingering one) spins on the queue for up to kIdlePollWindow
+// before it parks, and in steady state a submit finds nobody asleep and
+// wakes no one. On a host without a spare core, workers park at once.
 //
 // Routing + hot-swap: submit() resolves the model id against the
 // ModelRegistry ONCE, at submit time, and the request carries its
@@ -76,6 +89,9 @@ struct ServerConfig {
   /// Largest micro-batch a worker will coalesce. 1 disables batching.
   size_t max_batch = 8;
   /// How long a worker holding a partial batch lingers for stragglers.
+  /// It lingers only when no other worker is idle (see file comment), so
+  /// this bounds the wait a request pays to join a batch under load; a
+  /// request that finds an idle worker runs at once.
   int64_t max_delay_us = 200;
   /// Deadline applied by submit() when the caller gives none. 0 = none.
   int64_t default_timeout_us = 0;
@@ -111,6 +127,19 @@ struct ServerStats {
   uint64_t batches = 0;     // micro-batches executed
   uint64_t batched_samples = 0;  // samples across those batches
 };
+
+/// How long an idle worker spins for work before it parks. Every idle
+/// gap costs each worker at most this much CPU; 2 ms covers the
+/// inter-arrival gaps of the perfbench workloads (300–10000 QPS over 2
+/// workers), so in steady state no worker is asleep when a request
+/// arrives.
+inline constexpr std::chrono::microseconds kIdlePollWindow{2000};
+
+/// The poll window `workers` workers use on this host: kIdlePollWindow
+/// when std::thread::hardware_concurrency() exceeds `workers` (a spare
+/// core for the submitting thread), else 0 (park at once, so spinning
+/// workers never starve the submitter of a CPU).
+std::chrono::nanoseconds idle_poll_window(int workers);
 
 class InferenceServer {
  public:
@@ -185,8 +214,10 @@ class InferenceServer {
                                        bool blocking, bool* queue_full);
   Clock::time_point effective_deadline(const SubmitOptions& opts) const;
   void worker_loop();
-  void process_group(std::vector<Request*>& group, nn::InferScratch& scratch,
-                     Tensor& stacked);
+  /// Runs one session's share of a batch. `live` is worker-local
+  /// storage, reused across batches like `stacked`.
+  void process_group(const std::vector<Request*>& group, std::vector<Request*>& live,
+                     nn::InferScratch& scratch, Tensor& stacked);
 
   std::shared_ptr<ModelRegistry> registry_;
   ServerConfig cfg_;
@@ -196,6 +227,8 @@ class InferenceServer {
   Mutex join_mu_;
   std::vector<std::thread> workers_ CAPR_GUARDED_BY(join_mu_);
   std::atomic<bool> stopping_{false};
+  /// Workers waiting for work; a worker lingers only when it is 0.
+  std::atomic<int> idle_workers_{0};
 
   std::atomic<uint64_t> n_submitted_{0};
   std::atomic<uint64_t> n_rejected_{0};

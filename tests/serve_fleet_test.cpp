@@ -364,9 +364,10 @@ TEST(FleetHotSwapTest, DisplacedSessionDrainsByRefcount) {
   EXPECT_TRUE(weak_c.expired());
 }
 
-// TSan lane target: publish, route and shutdown racing freely. The only
-// assertion on outcomes is the allowed-status set — the point is that
-// the race itself is clean under TSan and nothing errors.
+// TSan lane target: publish, route and shutdown racing freely. The
+// assertions on outcomes are the allowed-status set and counter
+// conservation — the point is that the race itself is clean under TSan,
+// nothing errors and no accepted request goes unaccounted.
 TEST(FleetStressTest, RacingPublishRouteShutdown) {
   const models::BuildConfig cfg = small_cfg();
   auto sess_a = session_of(models::make_model("tiny", cfg));
@@ -417,7 +418,11 @@ TEST(FleetStressTest, RacingPublishRouteShutdown) {
   for (auto& t : threads) t.join();
 
   EXPECT_EQ(disallowed.load(), 0);
-  EXPECT_EQ(server.stats().errored, 0u);
+  const serve::ServerStats stats = server.stats();
+  EXPECT_EQ(stats.errored, 0u);
+  // Conservation: every accepted request ended in exactly one terminal
+  // counter, even with shutdown racing the clients.
+  EXPECT_EQ(stats.submitted, stats.completed + stats.timed_out + stats.errored);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // BoundedQueue semantics: FIFO order, backpressure (try_push on a full
 // queue), close/drain behaviour, micro-batch coalescing via drain_into /
-// drain_until, and a multi-producer stress run. The stress tests double
+// drain_until, the same waits with a poll window (poll, then park), and
+// a multi-producer stress run. The stress tests double
 // as the TSan targets for the serving queue (see CMakePresets.json).
 //
 // Multi-tenant scheduling contract (tickets): priorities pop highest
@@ -15,6 +16,7 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -126,6 +128,69 @@ TEST(BoundedQueueTest, DrainUntilPicksUpLateArrivals) {
   EXPECT_EQ(batch, std::vector<int>{7});
 }
 
+// Poll-then-park (set_poll_window): every waiting path must behave the
+// same whether the waiter parks at once (window 0) or spins first. The
+// 10 s window is far longer than any of these tests, so a poller that
+// missed an arrival or a close() would show up as a 10 s wait.
+constexpr std::chrono::nanoseconds kWindows[] = {std::chrono::nanoseconds{0},
+                                                 std::chrono::seconds(10)};
+
+TEST(BoundedQueueTest, PollingPopDeliversItemPushedWhilePolling) {
+  for (const auto window : kWindows) {
+    BoundedQueue<int> q(4);
+    q.set_poll_window(window);
+    std::optional<int> got;
+    std::chrono::steady_clock::duration waited{};
+    std::thread popper([&] {
+      const auto start = std::chrono::steady_clock::now();
+      got = q.pop();
+      waited = std::chrono::steady_clock::now() - start;
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    ASSERT_EQ(q.try_push(7, Ticket{}), PushStatus::kOk);
+    popper.join();
+    EXPECT_EQ(got, std::optional<int>(7)) << "window " << window.count();
+    EXPECT_LT(waited, std::chrono::seconds(5)) << "window " << window.count();
+  }
+}
+
+TEST(BoundedQueueTest, CloseEndsPollingPopPromptly) {
+  for (const auto window : kWindows) {
+    BoundedQueue<int> q(4);
+    q.set_poll_window(window);
+    std::thread popper([&] { EXPECT_FALSE(q.pop().has_value()); });
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    const auto start = std::chrono::steady_clock::now();
+    q.close();
+    popper.join();
+    EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5))
+        << "window " << window.count();
+  }
+}
+
+TEST(BoundedQueueTest, PollingDrainUntilHonoursItsDeadline) {
+  for (const auto window : kWindows) {
+    BoundedQueue<int> q(4);
+    q.set_poll_window(window);
+    std::vector<int> batch{42};
+    const auto start = std::chrono::steady_clock::now();
+    q.drain_until(batch, 4, start + std::chrono::milliseconds(20));
+    const auto waited = std::chrono::steady_clock::now() - start;
+    EXPECT_EQ(batch.size(), 1u);
+    EXPECT_GE(waited, std::chrono::milliseconds(19)) << "window " << window.count();
+    EXPECT_LT(waited, std::chrono::seconds(5)) << "window " << window.count();
+
+    // A straggler pushed during the linger joins the batch.
+    std::thread producer([&] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      q.push(7, Ticket{});
+    });
+    q.drain_until(batch, 2, std::chrono::steady_clock::now() + std::chrono::seconds(5));
+    producer.join();
+    EXPECT_EQ(batch, (std::vector<int>{42, 7})) << "window " << window.count();
+  }
+}
+
 TEST(BoundedQueueTest, TicketedPopsHighestPriorityFirstFifoWithin) {
   BoundedQueue<int> q(8);
   q.set_starvation_limit(0);  // pure priority order for this test
@@ -159,6 +224,21 @@ TEST(BoundedQueueTest, StarvationBoundIsExact) {
   EXPECT_EQ(q.pop().value(), 4);
   EXPECT_EQ(q.pop().value(), 5);
   EXPECT_EQ(q.pop().value(), 6);
+}
+
+TEST(BoundedQueueTest, EmptiedPriorityLevelIsSkippedAndReused) {
+  // A level that drains stays in the queue's level map; pops must skip
+  // it while it is empty and serve it again once it refills.
+  BoundedQueue<int> q(8);
+  EXPECT_EQ(q.try_push(50, Ticket{0, 5}), PushStatus::kOk);
+  EXPECT_EQ(q.pop().value(), 50);  // level 5 is now empty
+  EXPECT_EQ(q.try_push(1, Ticket{0, 1}), PushStatus::kOk);
+  EXPECT_EQ(q.try_push(0, Ticket{0, 0}), PushStatus::kOk);
+  EXPECT_EQ(q.pop().value(), 1);
+  EXPECT_EQ(q.try_push(51, Ticket{0, 5}), PushStatus::kOk);
+  EXPECT_EQ(q.pop().value(), 51);
+  EXPECT_EQ(q.pop().value(), 0);
+  EXPECT_EQ(q.size(), 0u);
 }
 
 TEST(BoundedQueueTest, ZeroQuotaTenantShedsEvenOnBlockingPush) {

@@ -9,6 +9,8 @@
 // serve_test and serve_queue_test both run under the TSan CI lane.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <future>
@@ -387,6 +389,89 @@ TEST(InferenceServerTest, ShutdownDrainsAcceptedWork) {
   auto late = server.try_submit(sample);
   ASSERT_TRUE(late.has_value());
   EXPECT_EQ(late->get().status, serve::RequestStatus::kShutdown);
+}
+
+// Worker counts that take each idle path of the server on the host that
+// runs the test: a count below the core count polls before parking, one
+// at or above it parks at once (idle_poll_window). On a host with at most
+// 2 cores both counts park.
+std::vector<int> polling_and_parking_worker_counts() {
+  const int cores = static_cast<int>(std::thread::hardware_concurrency());
+  return {2, std::max(2, cores)};
+}
+
+TEST(InferenceServerTest, IdlePollWindowNeedsASpareCore) {
+  const int cores = static_cast<int>(std::thread::hardware_concurrency());
+  EXPECT_EQ(serve::idle_poll_window(std::max(cores, 1)), std::chrono::nanoseconds{0});
+  if (cores > 1) {
+    EXPECT_EQ(serve::idle_poll_window(cores - 1), serve::kIdlePollWindow);
+  }
+}
+
+TEST(InferenceServerTest, IdleWorkerSkipsTheLinger) {
+  // Work-conserving batching: while another worker is idle, a worker
+  // holding a partial batch runs it at once instead of lingering.
+  auto session = std::make_shared<const serve::InferenceSession>(
+      serve::InferenceSession(models::make_model("tiny", small_cfg())));
+  const Shape& in = session->input_shape();
+  const Tensor sample({in[0], in[1], in[2]});
+  for (const int workers : polling_and_parking_worker_counts()) {
+    serve::ServerConfig cfg;
+    cfg.workers = workers;
+    cfg.max_delay_us = 2'000'000;
+    serve::InferenceServer server(session, cfg);
+    const auto start = serve::InferenceServer::Clock::now();
+    const serve::InferResult res = server.submit(sample).get();
+    const auto waited = serve::InferenceServer::Clock::now() - start;
+    EXPECT_EQ(res.status, serve::RequestStatus::kOk) << workers << " workers";
+    EXPECT_LT(res.latency_us, 1'000'000) << workers << " workers";
+    EXPECT_LT(waited, std::chrono::seconds(1)) << workers << " workers";
+  }
+}
+
+TEST(InferenceServerTest, LoneWorkerStillLingers) {
+  // With no other worker idle the linger is honoured: a lone request
+  // waits the full max_delay_us for stragglers before it runs.
+  auto session = std::make_shared<const serve::InferenceSession>(
+      serve::InferenceSession(models::make_model("tiny", small_cfg())));
+  serve::ServerConfig cfg;
+  cfg.workers = 1;
+  cfg.max_delay_us = 50'000;
+  serve::InferenceServer server(session, cfg);
+  const Shape& in = session->input_shape();
+  const serve::InferResult res = server.submit(Tensor({in[0], in[1], in[2]})).get();
+  EXPECT_EQ(res.status, serve::RequestStatus::kOk);
+  EXPECT_GE(res.latency_us, 50'000);
+}
+
+TEST(InferenceServerTest, ShutdownWithIdleWorkersIsPromptAndResolvesAll) {
+  auto session = std::make_shared<const serve::InferenceSession>(
+      serve::InferenceSession(models::make_model("tiny", small_cfg())));
+  const Shape& in = session->input_shape();
+  const Tensor sample({in[0], in[1], in[2]});
+  for (const int workers : polling_and_parking_worker_counts()) {
+    serve::ServerConfig cfg;
+    cfg.workers = workers;
+    cfg.queue_capacity = 32;
+    serve::InferenceServer server(session, cfg);
+    std::vector<std::future<serve::InferResult>> futs;
+    for (int i = 0; i < 16; ++i) futs.push_back(server.submit(sample));
+    futs.front().wait();
+    // Let the workers run dry, so they are idle (polling or parked) when
+    // the shutdown arrives.
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    const auto start = serve::InferenceServer::Clock::now();
+    server.shutdown();
+    EXPECT_LT(serve::InferenceServer::Clock::now() - start, std::chrono::seconds(1))
+        << workers << " workers";
+    for (auto& fut : futs) {
+      ASSERT_EQ(fut.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+      EXPECT_EQ(fut.get().status, serve::RequestStatus::kOk);
+    }
+    const serve::ServerStats stats = server.stats();
+    EXPECT_EQ(stats.submitted, 16u);
+    EXPECT_EQ(stats.completed, 16u);
+  }
 }
 
 TEST(InferenceServerTest, RejectsWrongSampleShape) {

@@ -74,7 +74,8 @@ void usage(std::ostream& os) {
         "  --workers <n>         server worker threads (default: num_threads())\n"
         "  --queue-cap <n>       bounded queue capacity (default 64)\n"
         "  --max-batch <n>       micro-batch coalescing limit (default 8)\n"
-        "  --max-delay-us <n>    straggler linger per batch (default 200)\n"
+        "  --max-delay-us <n>    straggler linger per batch, taken only while no\n"
+        "                        other worker is idle (default 200)\n"
         "  --timeout-us <n>      per-request deadline, 0 = none (default 0)\n"
         "exit codes: 0 ok, 1 request failures, 2 usage, 3 publish rejected\n";
 }
