@@ -76,6 +76,51 @@ BENCHMARK(BM_Im2ColPacked)
     ->Args({32, 3, 2, 1})
     ->Args({16, 1, 2, 0});
 
+// One image through one compiled conv step's kernels: lowering plus the
+// pre-packed GEMM. Args are (channels, size, stride, out_channels,
+// lowering): 3x3 pad-1 convs, lowering 1 = direct (fill_direct_planes +
+// gemm_tiled_packed_direct), 0 = panels (im2col_packed +
+// gemm_tiled_packed), so each direct row has its panel twin. The first
+// pair is serve-compute's pruned node 3 (C=8, 32 px, M=4), the second a
+// stride-2 downsampling conv. Wall clock.
+void BM_ConvDirect(benchmark::State& state) {
+  const int64_t channels = state.range(0);
+  const int64_t size = state.range(1);
+  const int64_t cout = state.range(3);
+  const bool direct = state.range(4) != 0;
+  const ConvGeom g{channels, size, size, 3, 3, state.range(2), 1};
+  Rng rng(5);
+  Tensor image({channels, size, size});
+  rng.fill_normal(image, 0.0f, 1.0f);
+  Tensor w({cout, g.col_rows()});
+  rng.fill_normal(w, 0.0f, 0.1f);
+  const PackedA a = pack_a_full(w.data(), cout, g.col_rows(),
+                                resolve_gemm_config(GemmVariant::kNN, cout, g.col_rows(),
+                                                    g.col_cols()));
+  const DirectConv map = direct_conv_map(g);
+  std::vector<float> operand(static_cast<size_t>(
+      direct ? direct_plane_floats(g) : packed_b_floats(g.col_rows(), g.col_cols())));
+  Tensor out({cout, g.col_cols()});
+  for (auto _ : state) {
+    if (direct) {
+      benchmark::DoNotOptimize(fill_direct_planes(image.data(), g, operand.data()));
+      gemm_tiled_packed_direct(a, operand.data(), map, out.data());
+    } else {
+      benchmark::DoNotOptimize(im2col_packed(image.data(), g, operand.data()));
+      gemm_tiled_packed(a, operand.data(), out.data(), g.col_cols());
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * cout * g.col_rows() * g.col_cols());
+}
+BENCHMARK(BM_ConvDirect)
+    ->Args({8, 32, 1, 4, 1})
+    ->Args({8, 32, 1, 4, 0})
+    ->Args({8, 32, 2, 16, 1})
+    ->Args({8, 32, 2, 16, 0})
+    ->UseRealTime();
+
 void BM_ConvForward(benchmark::State& state) {
   const int64_t channels = state.range(0);
   nn::Conv2d conv(channels, channels, 3, 1, 1, false);
@@ -174,6 +219,7 @@ int main(int argc, char** argv) {
   const bool smoke = std::any_of(bargv.begin(), bargv.end(), is_smoke);
   bargv.erase(std::remove_if(bargv.begin(), bargv.end(), is_smoke), bargv.end());
   std::string filter = "--benchmark_filter=(BM_Gemm/32|BM_Im2Col/8|BM_Im2ColPacked/8/|"
+                       "BM_ConvDirect/8/32/1/4/1/|"
                        "BM_ConvForward/16|"
                        "BM_ConvBackward/16|BM_TaylorScoring|BM_ExactZeroOutScoring|"
                        "BM_FullImportanceEvaluation)";

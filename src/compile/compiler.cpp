@@ -97,6 +97,10 @@ void lower(const graph::ModuleGraph& g, PlanBuilder& b, std::vector<int>& slot_o
         s.out_channels = node.conv.out_channels;
         s.weight = conv->filter_matrix();
         if (conv->has_bias()) s.bias = conv->bias().value;
+        if (direct_conv_eligible(s.geom)) {
+          s.lowering = ConvLowering::kDirect;
+          s.direct = direct_conv_map(s.geom);
+        }
         break;
       }
       case graph::Kind::kBatchNorm2d: {

@@ -9,6 +9,9 @@
 //                         active read-only interventions (channel_scale
 //                         or zero_flat_index) lowers to a kInterpreted
 //                         fallback step so compiled serving honours them.
+//                         Each conv records its lowering: kDirect with
+//                         its offset map when direct_conv_eligible(geom),
+//                         else kPanels.
 //   2. fold_batchnorm   — folds a BatchNorm into its single-producer
 //                         conv's weights/bias (double-precision fold;
 //                         the one eps-bounded pass). [opts.fold_batchnorm]

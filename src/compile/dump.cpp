@@ -69,6 +69,7 @@ std::string to_json(const ExecutionPlan& plan, const graph::ModuleGraph& g,
     if (s.kind == StepKind::kConv) {
       os << ", \"folded_bn\": " << (s.folded_bn ? "true" : "false")
          << ", \"prepacked\": " << (s.prepacked ? "true" : "false")
+         << ", \"lowering\": \"" << to_string(s.lowering) << "\""
          << ", \"prepacked_floats\": " << static_cast<int64_t>(s.packed_w.strips.size());
       if (s.prepacked) {
         // Packing provenance: the GEMM config the strips were laid out

@@ -58,16 +58,30 @@ void exec_conv(const Step& s, const Tensor& in, Tensor& out, ScratchArena& arena
   const int workers = std::max(1, std::min<int>(num_threads(), static_cast<int>(n)));
   arena.prepare(workers);
   const bool tiled = gemm_kernel() == GemmKernel::kTiled;
+  GemmEpilogue ep;
+  ep.bias_row = s.bias.empty() ? nullptr : s.bias.data();
+  ep.act = static_cast<int>(s.act);
+  ep.alpha = s.alpha;
   parallel_for(0, n, [&](int tid, int64_t i) {
+    const float* image = in.data() + i * in_stride;
     float* obase = out.data() + i * cout * cols;
-    if (tiled) {
+    if (tiled && s.lowering == ConvLowering::kDirect) {
+      float* planes = arena.floats(tid, 0, direct_plane_floats(g));
+      if (fill_direct_planes(image, g, planes)) {
+        if (s.prepacked) {
+          gemm_tiled_packed_direct(s.packed_w, planes, s.direct, obase, ep);
+        } else {
+          gemm_tiled_direct(s.weight.data(), planes, s.direct, obase, cout, &arena.gemm(tid));
+          apply_bias_act(s, obase, cout, cols);
+        }
+        return;
+      }
+      // Non-finite activations: the strong-zero reference product below,
+      // the same condition and fallback as the panel path.
+    } else if (tiled) {
       if (s.prepacked) {
         float* panels = arena.floats(tid, 0, packed_b_floats(krows, cols));
-        if (im2col_packed(in.data() + i * in_stride, g, panels)) {
-          GemmEpilogue ep;
-          ep.bias_row = s.bias.empty() ? nullptr : s.bias.data();
-          ep.act = static_cast<int>(s.act);
-          ep.alpha = s.alpha;
+        if (im2col_packed(image, g, panels)) {
           gemm_tiled_packed(s.packed_w, panels, obase, cols, ep);
           return;
         }
@@ -76,7 +90,7 @@ void exec_conv(const Step& s, const Tensor& in, Tensor& out, ScratchArena& arena
         // triggers on the per-call tiled path.
       } else {
         float* col = arena.floats(tid, 1, krows * cols);
-        im2col(in.data() + i * in_stride, g, col);
+        im2col(image, g, col);
         gemm_tiled(s.weight.data(), col, obase, cout, krows, cols, /*accumulate=*/false,
                    &arena.gemm(tid));
         apply_bias_act(s, obase, cout, cols);
@@ -84,7 +98,7 @@ void exec_conv(const Step& s, const Tensor& in, Tensor& out, ScratchArena& arena
       }
     }
     float* col = arena.floats(tid, 1, krows * cols);
-    im2col(in.data() + i * in_stride, g, col);
+    im2col(image, g, col);
     gemm(s.weight.data(), col, obase, cout, krows, cols, /*accumulate=*/false);
     apply_bias_act(s, obase, cout, cols);
   });
@@ -265,6 +279,10 @@ const char* to_string(StepKind kind) {
   return "unknown";
 }
 
+const char* to_string(ConvLowering lowering) {
+  return lowering == ConvLowering::kDirect ? "direct" : "panels";
+}
+
 const Tensor& ExecutionPlan::value(int slot, const Tensor& batch,
                                    nn::InferScratch& scratch) const {
   return slot < 0 ? batch : scratch.slots[static_cast<size_t>(slot)];
@@ -350,19 +368,22 @@ int64_t ExecutionPlan::prepacked_floats() const {
   return total;
 }
 
-void ExecutionPlan::recompute_scratch_floats() {
-  // Per-worker arena demand: slot 0 holds im2col panel buffers, slot 1
-  // plain column matrices; each is sized to the largest conv that uses
-  // it, matching ScratchArena's grow-only slots.
-  int64_t panels = 0, col = 0;
-  for (const Step& s : steps_) {
+int64_t conv_scratch_floats(const std::vector<Step>& steps) {
+  int64_t operand = 0, col = 0;
+  for (const Step& s : steps) {
     if (s.kind != StepKind::kConv) continue;
     const int64_t krows = s.geom.col_rows();
     const int64_t cols = s.geom.col_cols();
-    if (s.prepacked) panels = std::max(panels, packed_b_floats(krows, cols));
+    if (s.lowering == ConvLowering::kDirect) {
+      operand = std::max(operand, direct_plane_floats(s.geom));
+    } else if (s.prepacked) {
+      operand = std::max(operand, packed_b_floats(krows, cols));
+    }
     col = std::max(col, krows * cols);
   }
-  scratch_floats_ = panels + col;
+  return operand + col;
 }
+
+void ExecutionPlan::recompute_scratch_floats() { scratch_floats_ = conv_scratch_floats(steps_); }
 
 }  // namespace capr::compile

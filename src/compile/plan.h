@@ -63,6 +63,14 @@ const char* to_string(StepKind kind);
 /// Activation fused into a step's write-back (kNone when unfused).
 enum class Epilogue { kNone = 0, kReLU = 1, kLeakyReLU = 2 };
 
+/// How a tiled conv step forms its GEMM's B operand. kDirect copies each
+/// image into padded planes and reads B through the step's offset map
+/// (im2col.h, "Direct convolution"); kPanels writes im2col_packed
+/// panels. compile() picks kDirect exactly when direct_conv_eligible.
+enum class ConvLowering { kPanels, kDirect };
+
+const char* to_string(ConvLowering lowering);  // "panels" | "direct"
+
 /// One executable operation over value slots. Slot -1 is the plan input
 /// batch; every other slot is an InferScratch tensor indexed by number.
 struct Step {
@@ -87,6 +95,8 @@ struct Step {
   PackedB packed_in;  // kLinear: pre-packed transposed weight panels
   bool prepacked = false;
   bool folded_bn = false;  // kConv: a BatchNorm was folded into weight/bias
+  ConvLowering lowering = ConvLowering::kPanels;  // kConv
+  DirectConv direct;  // kConv with kDirect: direct_conv_map(geom)
 
   // kBatchNorm: owned copies so a shareable plan outlives the model.
   std::vector<float> bn_gamma, bn_beta, bn_mean, bn_var;
@@ -131,7 +141,7 @@ class ExecutionPlan {
   int fused_epilogues() const { return fused_epilogues_; }
   /// Total pre-packed weight floats held by the plan.
   int64_t prepacked_floats() const;
-  /// Worst-case per-worker arena floats a run needs (im2col buffers).
+  /// Worst-case per-worker arena floats a run needs (conv_scratch_floats).
   /// Computed once at build time from step geometry; the plan verifier
   /// (compile/verifier.h) re-derives the demand independently and
   /// rejects a plan whose declared value is too small.
@@ -155,6 +165,14 @@ class ExecutionPlan {
   int fused_epilogues_ = 0;
   int64_t scratch_floats_ = 0;
 };
+
+/// Worst-case per-worker arena floats the conv steps need: slot 0 holds
+/// the B operand a tiled conv builds (direct planes, or packed panels on
+/// a pre-packed kPanels step), slot 1 a plain column matrix (the
+/// reference path and the non-finite fallback), each sized to its
+/// largest user. The one demand model ExecutionPlan and the verifier
+/// both apply.
+int64_t conv_scratch_floats(const std::vector<Step>& steps);
 
 /// Test-only backdoor into a plan's private state. The corrupted-plan
 /// suite (tests/plan_verifier_test.cpp) copies a real compiled plan and

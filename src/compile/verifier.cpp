@@ -58,6 +58,13 @@ struct Resolved {
   bool intermediate = false;  // resolves to a fused-away (non-final) node
 };
 
+/// ConvGeom::validate without the throw: a corrupted geometry must
+/// become a finding, not an exception.
+bool geom_valid(const ConvGeom& g) {
+  return g.in_channels > 0 && g.in_h > 0 && g.in_w > 0 && g.kernel_h > 0 && g.kernel_w > 0 &&
+         g.stride > 0 && g.padding >= 0 && g.out_h() > 0 && g.out_w() > 0;
+}
+
 }  // namespace
 
 const char* to_string(PlanDiagCode code) {
@@ -376,6 +383,23 @@ PlanLint lint_plan(const ExecutionPlan& plan, const graph::ModuleGraph& g) {
                       "conv bias has " + std::to_string(s.bias.numel()) +
                           " floats for " + std::to_string(s.out_channels) + " channels"));
       }
+      // The recorded lowering must be the one the eligibility function
+      // picks, and a direct step's offset map the one its geometry
+      // implies: the GEMM trusts every offset to land inside the planes.
+      const bool eligible = geom_valid(s.geom) && direct_conv_eligible(s.geom);
+      if ((s.lowering == ConvLowering::kDirect) != eligible) {
+        lint.add(diag(PlanDiagCode::kPanelShape, idx, graph::kNoNode,
+                      std::string("conv lowering is \"") + compile::to_string(s.lowering) +
+                          "\" but the geometry is " + (eligible ? "" : "not ") +
+                          "eligible for the direct path"));
+      } else if (s.lowering == ConvLowering::kDirect && s.direct.rows() != krows) {
+        lint.add(diag(PlanDiagCode::kPanelShape, idx, graph::kNoNode,
+                      "direct conv offset table has " + std::to_string(s.direct.rows()) +
+                          " entries for " + std::to_string(krows) + " column-matrix rows"));
+      } else if (s.lowering == ConvLowering::kDirect && s.direct != direct_conv_map(s.geom)) {
+        lint.add(diag(PlanDiagCode::kPanelShape, idx, graph::kNoNode,
+                      "direct conv offset map disagrees with the one its geometry implies"));
+      }
       if (s.prepacked) {
         if (s.packed_w.rows != s.out_channels || s.packed_w.depth != krows) {
           lint.add(diag(PlanDiagCode::kPanelShape, idx, graph::kNoNode,
@@ -444,23 +468,16 @@ PlanLint lint_plan(const ExecutionPlan& plan, const graph::ModuleGraph& g) {
   }
 
   // ---- Pass 4: scratch pre-size sufficiency ---------------------------
-  // Recomputed with the same per-worker demand model the executor uses
-  // (arena slot 0: packed im2col panels, slot 1: plain column matrices),
-  // so a plan whose declared pre-size lies is caught before warm() ever
+  // The executor's per-worker demand model (conv_scratch_floats: slot 0
+  // direct planes or packed panels, slot 1 plain column matrices), so a
+  // plan whose declared pre-size lies is caught before warm() ever
   // trusts it.
-  int64_t panels = 0, col = 0;
-  for (const Step& s : steps) {
-    if (s.kind != StepKind::kConv) continue;
-    const int64_t krows = s.geom.col_rows();
-    const int64_t cols = s.geom.col_cols();
-    if (s.prepacked) panels = std::max(panels, packed_b_floats(krows, cols));
-    col = std::max(col, krows * cols);
-  }
-  if (plan.scratch_floats() < panels + col) {
+  const int64_t demand = conv_scratch_floats(steps);
+  if (plan.scratch_floats() < demand) {
     lint.add(diag(PlanDiagCode::kScratchUndersized, -1, graph::kNoNode,
                   "declared scratch pre-size " + std::to_string(plan.scratch_floats()) +
                       " floats is below the worst-case step demand of " +
-                      std::to_string(panels + col)));
+                      std::to_string(demand)));
   }
 
   return lint;

@@ -89,26 +89,37 @@ Tensor Conv2d::compute_forward(const Tensor& input, ScratchArena& arena) const {
   Tensor out({n, out_channels_, oh, ow});
   const Tensor wmat = filter_matrix();
   const int workers = std::max(1, std::min<int>(num_threads(), static_cast<int>(n)));
-  // Arena buffers (column matrix + GEMM packing) persist across calls, so
-  // the steady-state batch loop allocates nothing.
+  // Arena buffers (slot 0: column matrix, slot 1: direct planes, plus
+  // GEMM packing) persist across calls, so the steady-state batch loop
+  // allocates nothing.
   arena.prepare(workers);
   const bool tiled = gemm_kernel() == GemmKernel::kTiled;
+  // Eligible geometries read B straight from padded planes through an
+  // offset map (im2col.h, "Direct convolution"); the rest lower through
+  // im2col_packed. Both give gemm_tiled's bits.
+  const DirectConv map = tiled && direct_conv_eligible(g) ? direct_conv_map(g) : DirectConv{};
+  const bool direct = map.run != 0;
   parallel_for(0, n, [&](int tid, int64_t i) {
     const float* image = input.data() + i * in_channels_ * h * w;
     float* obase = out.data() + i * out_channels_ * cols;
     GemmScratch& gs = arena.gemm(tid);
-    // Tiled: lower straight into the packed-B panels gemm_tiled would
-    // build, and skip its pack_b. Non-finite panels take the per-call
-    // path below, whose pack_b scan routes them to the strong-zero
-    // reference kernel.
-    bool panels_finite = false;
-    if (tiled) {
+    // Tiled: lower straight into the B operand gemm_tiled would pack,
+    // and skip its pack_b. Non-finite values take the per-call path
+    // below, whose pack_b scan routes them to the strong-zero reference
+    // kernel.
+    bool finite = false;
+    if (direct) {
+      float* planes = arena.floats(tid, 1, direct_plane_floats(g));
+      finite = fill_direct_planes(image, g, planes);
+      if (finite) gemm_tiled_direct(wmat.data(), planes, map, obase, out_channels_, &gs);
+    } else if (tiled) {
       gs.bpack.resize(static_cast<size_t>(packed_b_floats(krows, cols)));
-      panels_finite = im2col_packed(image, g, gs.bpack.data());
+      finite = im2col_packed(image, g, gs.bpack.data());
+      if (finite) {
+        gemm_tiled_panels(wmat.data(), gs.bpack.data(), obase, out_channels_, krows, cols, &gs);
+      }
     }
-    if (panels_finite) {
-      gemm_tiled_panels(wmat.data(), gs.bpack.data(), obase, out_channels_, krows, cols, &gs);
-    } else {
+    if (!finite) {
       float* col = arena.floats(tid, 0, krows * cols);
       im2col(image, g, col);
       gemm_auto(wmat.data(), col, obase, out_channels_, krows, cols, /*accumulate=*/false, &gs);

@@ -4,6 +4,8 @@
 #include <atomic>
 #include <bit>
 #include <cstring>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "tensor/gemm.h"
@@ -88,10 +90,106 @@ void pack_a(const float* a, int64_t rs, int64_t cs, int64_t i0, int64_t mc, int6
 // accumulators stay in registers. Autovectorisation of the scalar form
 // is not trusted here: GCC picks the 4-wide i-axis for it, an 8x loss.
 using vnr = float __attribute__((vector_size(64)));
+using vhalf = float __attribute__((vector_size(32)));
+using vquarter = float __attribute__((vector_size(16)));
 static_assert(NR * sizeof(float) == 64, "vnr must span one packed panel row");
+#endif
 
-/// kMR x NR register tile: c[0:mr, 0:nr] (+)= ap * bp over kc. ap is a
-/// kMR-tall strip (k-major), bp an NR-wide panel slice (k-major).
+// ---------------------------------------------------------------------------
+// B row sources. The micro-kernel and the drivers below take the B
+// operand as a policy: a Source hands run_mblock the Rows of panel p
+// from k-block offset k0, and Rows::load(k, v) fills the NR lanes of row
+// k into v. Everything else (blocking, k-block order, MR/NR tails, the
+// epilogue, split-M) is shared, so each C element keeps its one
+// k-ascending chain whichever source feeds it.
+// ---------------------------------------------------------------------------
+
+/// Row k of a packed-B panel slice: NR contiguous floats at bp + k*NR.
+struct PanelRows {
+  const float* bp;
+  template <typename V>
+  void load(int64_t k, V& v) const {
+    static_assert(sizeof(V) == NR * sizeof(float), "a B row is NR floats");
+    std::memcpy(&v, bp + k * NR, sizeof(V));
+  }
+};
+
+/// The pack_b panel layout of a [K, N] operand (im2col_packed, pack_b,
+/// PackedB): panel p's row k at bpack + p*K*NR + k*NR.
+struct PanelSource {
+  using Rows = PanelRows;
+  const float* bpack;
+  int64_t K;
+  Rows rows(int64_t p, int64_t k0) const { return {bpack + p * K * NR + k0 * NR}; }
+};
+
+/// Row k of a direct-conv panel: NR / kRun runs of kRun contiguous
+/// floats, run r at base[r] + off[k] (im2col.h, "Direct convolution").
+template <int64_t kRun>
+struct RunRows {
+  static constexpr int64_t kRuns = NR / kRun;
+  const float* base[kRuns];
+  const int64_t* off;
+  template <typename V>
+  void load(int64_t k, V& v) const {
+    static_assert(sizeof(V) == NR * sizeof(float), "a B row is NR floats");
+    const int64_t o = off[k];
+    auto* lanes = reinterpret_cast<unsigned char*>(&v);
+    for (int64_t r = 0; r < kRuns; ++r) {
+      std::memcpy(lanes + r * kRun * sizeof(float), base[r] + o, kRun * sizeof(float));
+    }
+  }
+#if defined(__GNUC__) || defined(__clang__)
+  // Short runs are joined in registers: storing them into one stack
+  // vector and reloading it stalls on store forwarding every k.
+  void load(int64_t k, vnr& v) const {
+    const int64_t o = off[k];
+    if constexpr (kRun == 16) {
+      __builtin_memcpy(&v, base[0] + o, sizeof(vnr));
+    } else if constexpr (kRun == 8) {
+      vhalf lo, hi;
+      __builtin_memcpy(&lo, base[0] + o, sizeof(vhalf));
+      __builtin_memcpy(&hi, base[1] + o, sizeof(vhalf));
+      v = __builtin_shufflevector(lo, hi, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+    } else {
+      vquarter q0, q1, q2, q3;
+      __builtin_memcpy(&q0, base[0] + o, sizeof(vquarter));
+      __builtin_memcpy(&q1, base[1] + o, sizeof(vquarter));
+      __builtin_memcpy(&q2, base[2] + o, sizeof(vquarter));
+      __builtin_memcpy(&q3, base[3] + o, sizeof(vquarter));
+      const vhalf lo = __builtin_shufflevector(q0, q1, 0, 1, 2, 3, 4, 5, 6, 7);
+      const vhalf hi = __builtin_shufflevector(q2, q3, 0, 1, 2, 3, 4, 5, 6, 7);
+      v = __builtin_shufflevector(lo, hi, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+    }
+  }
+#endif
+};
+
+/// A DirectConv offset map over its plane buffer. Column j is output
+/// (j / out_w, j % out_w), whose run starts at plane row y, column x;
+/// kRun divides out_w, so no run straddles an output row.
+template <int64_t kRun>
+struct RunSource {
+  using Rows = RunRows<kRun>;
+  const float* planes;
+  const int64_t* off;
+  int64_t out_w, plane_w;
+  Rows rows(int64_t p, int64_t k0) const {
+    Rows r;
+    r.off = off + k0;
+    for (int64_t i = 0; i < Rows::kRuns; ++i) {
+      const int64_t j = p * NR + i * kRun;
+      r.base[i] = planes + (j / out_w) * plane_w + j % out_w;
+    }
+    return r;
+  }
+};
+
+#if defined(__GNUC__) || defined(__clang__)
+
+/// kMR x NR register tile: c[0:mr, 0:nr] (+)= ap * B over kc. ap is a
+/// kMR-tall strip (k-major); `rows` loads the B rows (see PanelRows,
+/// RunRows).
 ///
 /// C is PRE-LOADED into the accumulators (zeros when `overwrite`, i.e.
 /// the first k-block of a non-accumulating call) and the k-loop then
@@ -101,14 +199,15 @@ static_assert(NR * sizeof(float) == 64, "vnr must span one packed panel row");
 /// k-ascending addition sequence — making the result bitwise INVARIANT
 /// to mc/kc/mr, the parallelization strategy, and the worker count.
 /// So any legal config a PackedA records produces identical bits, only
-/// different speed.
+/// different speed; and two row sources that load the same B values
+/// produce identical bits too.
 ///
 /// Edge tiles stage C through a zero-padded tile so the same vector
 /// loop runs; pad lanes are never written back (they can hold garbage
 /// when A carries non-finite values — B is scanned, A is not).
-template <int64_t kMR>
-void micro_kernel_t(const float* __restrict ap, const float* __restrict bp, int64_t kc,
-                    float* __restrict c, int64_t ldc, int64_t mr, int64_t nr, bool overwrite) {
+template <int64_t kMR, typename Rows>
+void micro_kernel_t(const float* __restrict ap, Rows rows, int64_t kc, float* __restrict c,
+                    int64_t ldc, int64_t mr, int64_t nr, bool overwrite) {
   vnr acc[kMR];
   if (mr == kMR && nr == NR) {
     if (overwrite) {
@@ -118,7 +217,7 @@ void micro_kernel_t(const float* __restrict ap, const float* __restrict bp, int6
     }
     for (int64_t k = 0; k < kc; ++k) {
       vnr bv;
-      __builtin_memcpy(&bv, bp + k * NR, sizeof(bv));
+      rows.load(k, bv);
       const float* __restrict ak = ap + k * kMR;
       for (int64_t i = 0; i < kMR; ++i) acc[i] += ak[i] * bv;
     }
@@ -134,7 +233,7 @@ void micro_kernel_t(const float* __restrict ap, const float* __restrict bp, int6
     __builtin_memcpy(acc, tile, sizeof(tile));
     for (int64_t k = 0; k < kc; ++k) {
       vnr bv;
-      __builtin_memcpy(&bv, bp + k * NR, sizeof(bv));
+      rows.load(k, bv);
       const float* __restrict ak = ap + k * kMR;
       for (int64_t i = 0; i < kMR; ++i) acc[i] += ak[i] * bv;
     }
@@ -148,9 +247,9 @@ void micro_kernel_t(const float* __restrict ap, const float* __restrict bp, int6
 #else
 /// Portable scalar fallback of the tile above; same C pre-load and the
 /// same per-element k-ascending accumulation order.
-template <int64_t kMR>
-void micro_kernel_t(const float* __restrict ap, const float* __restrict bp, int64_t kc,
-                    float* __restrict c, int64_t ldc, int64_t mr, int64_t nr, bool overwrite) {
+template <int64_t kMR, typename Rows>
+void micro_kernel_t(const float* __restrict ap, Rows rows, int64_t kc, float* __restrict c,
+                    int64_t ldc, int64_t mr, int64_t nr, bool overwrite) {
   float acc[kMR][NR] = {};
   if (!overwrite) {
     for (int64_t i = 0; i < mr; ++i) {
@@ -159,7 +258,8 @@ void micro_kernel_t(const float* __restrict ap, const float* __restrict bp, int6
     }
   }
   for (int64_t k = 0; k < kc; ++k) {
-    const float* __restrict bk = bp + k * NR;
+    float bk[NR];
+    rows.load(k, bk);
     const float* __restrict ak = ap + k * kMR;
     for (int64_t i = 0; i < kMR; ++i) {
       const float av = ak[i];
@@ -173,16 +273,18 @@ void micro_kernel_t(const float* __restrict ap, const float* __restrict bp, int6
 }
 #endif
 
-using MicroFn = void (*)(const float* __restrict, const float* __restrict, int64_t,
-                         float* __restrict, int64_t, int64_t, int64_t, bool);
+template <typename Rows>
+using MicroFn = void (*)(const float* __restrict, Rows, int64_t, float* __restrict, int64_t,
+                         int64_t, int64_t, bool);
 
 /// Dispatches to the compiled micro-kernel for an mr from
 /// legal_gemm_mr(); resolve/pack_a_full guarantee legality upstream.
-MicroFn micro_for(int64_t mr) {
+template <typename Rows>
+MicroFn<Rows> micro_for(int64_t mr) {
   switch (mr) {
-    case 4: return micro_kernel_t<4>;
-    case 8: return micro_kernel_t<8>;
-    default: return micro_kernel_t<6>;
+    case 4: return micro_kernel_t<4, Rows>;
+    case 8: return micro_kernel_t<8, Rows>;
+    default: return micro_kernel_t<6, Rows>;
   }
 }
 
@@ -219,13 +321,15 @@ bool has_epilogue(const GemmEpilogue& ep) {
   return ep.bias_row != nullptr || ep.bias_col != nullptr || ep.act != 0;
 }
 
-/// One row block: all k-blocks, in order, against every panel. The
-/// per-element accumulation order (k ascending, C pre-loaded) is
+/// One row block: all k-blocks, in order, against every panel of `src`.
+/// The per-element accumulation order (k ascending, C pre-loaded) is
 /// identical no matter which worker runs the block or how cfg slices
 /// it. The optional epilogue fires per tile after the final k-block.
+template <typename Src>
 void run_mblock(const float* a, float* c, int64_t M, int64_t K, int64_t N, bool accumulate,
-                const Operands& op, const float* bpack, int64_t mb, const GemmEpilogue& ep,
-                const GemmTuneConfig& cfg, MicroFn micro, std::vector<float>& apack) {
+                const Operands& op, const Src& src, int64_t mb, const GemmEpilogue& ep,
+                const GemmTuneConfig& cfg, MicroFn<typename Src::Rows> micro,
+                std::vector<float>& apack) {
   const int64_t i0 = mb * cfg.mc;
   const int64_t mc = std::min(cfg.mc, M - i0);
   const int64_t strips = (mc + cfg.mr - 1) / cfg.mr;
@@ -239,11 +343,11 @@ void run_mblock(const float* a, float* c, int64_t M, int64_t K, int64_t N, bool 
     for (int64_t p = 0; p < panels; ++p) {
       const int64_t j0 = p * NR;
       const int64_t nr = std::min(NR, N - j0);
-      const float* bp = bpack + p * K * NR + k0 * NR;
+      const typename Src::Rows rows = src.rows(p, k0);
       for (int64_t s = 0; s < strips; ++s) {
         const int64_t i = i0 + s * cfg.mr;
         const int64_t mr = std::min(cfg.mr, i0 + mc - i);
-        micro(apack.data() + s * cfg.mr * kc, bp, kc, c + i * N + j0, N, mr, nr, overwrite);
+        micro(apack.data() + s * cfg.mr * kc, rows, kc, c + i * N + j0, N, mr, nr, overwrite);
         if (last && has_epilogue(ep)) apply_epilogue_tile(c + i * N + j0, N, mr, nr, i, j0, ep);
       }
     }
@@ -260,9 +364,10 @@ bool splits_rows(GemmParallel strat, int64_t mblocks) {
 }
 
 /// Run half of the per-call kernels: c (+)= A * B (+ epilogue) with B
-/// already in the pack_b panel layout. A is packed per call into `s`;
-/// `bpack` is only read, so it may be s.bpack itself.
-void run_packed_b(GemmVariant variant, const float* a, const float* bpack, float* c, int64_t M,
+/// read through `src` (packed panels or a direct-conv offset map). A is
+/// packed per call into `s`; B is only read, so it may live in s.bpack.
+template <typename Src>
+void run_packed_b(GemmVariant variant, const float* a, const Src& src, float* c, int64_t M,
                   int64_t K, int64_t N, bool accumulate, GemmScratch& s, const Operands& op,
                   const GemmEpilogue& ep = {}) {
   if (M <= 0 || N <= 0) return;
@@ -272,21 +377,21 @@ void run_packed_b(GemmVariant variant, const float* a, const float* bpack, float
     return;
   }
   const GemmTuneConfig cfg = resolve_gemm_config(variant, M, K, N);
-  const MicroFn micro = micro_for(cfg.mr);
+  const auto micro = micro_for<typename Src::Rows>(cfg.mr);
   const int64_t mblocks = (M + cfg.mc - 1) / cfg.mc;
   if (!splits_rows(cfg.strategy, mblocks)) {
     for (int64_t mb = 0; mb < mblocks; ++mb) {
-      run_mblock(a, c, M, K, N, accumulate, op, bpack, mb, ep, cfg, micro, s.apack);
+      run_mblock(a, c, M, K, N, accumulate, op, src, mb, ep, cfg, micro, s.apack);
     }
     return;
   }
-  // Row blocks across workers. bpack is written strictly before the
-  // threads spawn (happens-before via thread creation) and is read-only
-  // inside the region; each block writes a disjoint C row range.
+  // Row blocks across workers. B is written strictly before the threads
+  // spawn (happens-before via thread creation) and is read-only inside
+  // the region; each block writes a disjoint C row range.
   const auto workers = static_cast<size_t>(std::min<int64_t>(mblocks, num_threads()));
   if (s.wapack.size() < workers) s.wapack.resize(workers);
   parallel_for(0, mblocks, [&](int tid, int64_t mb) {
-    run_mblock(a, c, M, K, N, accumulate, op, bpack, mb, ep, cfg, micro,
+    run_mblock(a, c, M, K, N, accumulate, op, src, mb, ep, cfg, micro,
                s.wapack[static_cast<size_t>(tid)]);
   });
 }
@@ -308,13 +413,14 @@ void tiled_driver(GemmVariant variant, const float* a, const float* b, float* c,
       return;
     }
   }
-  run_packed_b(variant, a, s.bpack.data(), c, M, K, N, accumulate, s, op);
+  run_packed_b(variant, a, PanelSource{s.bpack.data(), K}, c, M, K, N, accumulate, s, op);
 }
 
 /// run_mblock with A pre-packed (layout and config from the PackedA):
 /// same block order, same micro-kernel calls, no pack_a.
-void run_mblock_packed(const PackedA& A, const float* bpack, float* c, int64_t N,
-                       const GemmEpilogue& ep, MicroFn micro, int64_t mb) {
+template <typename Src>
+void run_mblock_packed(const PackedA& A, const Src& src, float* c, int64_t N,
+                       const GemmEpilogue& ep, MicroFn<typename Src::Rows> micro, int64_t mb) {
   const GemmTuneConfig& cfg = A.cfg;
   const int64_t M = A.rows;
   const int64_t K = A.depth;
@@ -332,14 +438,48 @@ void run_mblock_packed(const PackedA& A, const float* bpack, float* c, int64_t N
     for (int64_t p = 0; p < panels; ++p) {
       const int64_t j0 = p * NR;
       const int64_t nr = std::min(NR, N - j0);
-      const float* bp = bpack + p * K * NR + k0 * NR;
+      const typename Src::Rows rows = src.rows(p, k0);
       for (int64_t s = 0; s < strips; ++s) {
         const int64_t i = i0 + s * cfg.mr;
         const int64_t mr = std::min(cfg.mr, i0 + mc - i);
-        micro(apack + s * cfg.mr * kc, bp, kc, c + i * N + j0, N, mr, nr, overwrite);
+        micro(apack + s * cfg.mr * kc, rows, kc, c + i * N + j0, N, mr, nr, overwrite);
         if (last && has_epilogue(ep)) apply_epilogue_tile(c + i * N + j0, N, mr, nr, i, j0, ep);
       }
     }
+  }
+}
+
+/// gemm_tiled_packed over any B source: c[M, N] = A * B (+ epilogue).
+template <typename Src>
+void run_prepacked(const PackedA& a, const Src& src, float* c, int64_t N, const GemmEpilogue& ep) {
+  const int64_t M = a.rows;
+  const int64_t K = a.depth;
+  if (M <= 0 || N <= 0) return;
+  if (K <= 0) {
+    std::memset(c, 0, static_cast<size_t>(M * N) * sizeof(float));
+    if (has_epilogue(ep)) apply_epilogue_tile(c, N, M, N, 0, 0, ep);
+    return;
+  }
+  const auto micro = micro_for<typename Src::Rows>(a.cfg.mr);
+  const int64_t mblocks = (M + a.cfg.mc - 1) / a.cfg.mc;
+  if (!splits_rows(a.cfg.strategy, mblocks)) {
+    for (int64_t mb = 0; mb < mblocks; ++mb) run_mblock_packed(a, src, c, N, ep, micro, mb);
+    return;
+  }
+  parallel_for(0, mblocks,
+               [&](int, int64_t mb) { run_mblock_packed(a, src, c, N, ep, micro, mb); });
+}
+
+/// Calls fn with the RunSource of `map` over `planes`, for its run width.
+template <typename Fn>
+void with_run_source(const DirectConv& map, const float* planes, const Fn& fn) {
+  const int64_t* off = map.off.data();
+  switch (map.run) {
+    case 16: fn(RunSource<16>{planes, off, map.out_w, map.plane_w}); break;
+    case 8: fn(RunSource<8>{planes, off, map.out_w, map.plane_w}); break;
+    case 4: fn(RunSource<4>{planes, off, map.out_w, map.plane_w}); break;
+    default: throw std::invalid_argument("direct GEMM: offset map has run width " +
+                                         std::to_string(map.run));
   }
 }
 
@@ -428,22 +568,23 @@ PackedB pack_b_nt(const float* w, int64_t N, int64_t K) {
 
 void gemm_tiled_packed(const PackedA& a, const float* bpanels, float* c, int64_t N,
                        const GemmEpilogue& ep) {
-  const int64_t M = a.rows;
-  const int64_t K = a.depth;
-  if (M <= 0 || N <= 0) return;
-  if (K <= 0) {
-    std::memset(c, 0, static_cast<size_t>(M * N) * sizeof(float));
-    if (has_epilogue(ep)) apply_epilogue_tile(c, N, M, N, 0, 0, ep);
-    return;
-  }
-  const MicroFn micro = micro_for(a.cfg.mr);
-  const int64_t mblocks = (M + a.cfg.mc - 1) / a.cfg.mc;
-  if (!splits_rows(a.cfg.strategy, mblocks)) {
-    for (int64_t mb = 0; mb < mblocks; ++mb) run_mblock_packed(a, bpanels, c, N, ep, micro, mb);
-    return;
-  }
-  parallel_for(0, mblocks,
-               [&](int, int64_t mb) { run_mblock_packed(a, bpanels, c, N, ep, micro, mb); });
+  run_prepacked(a, PanelSource{bpanels, a.depth}, c, N, ep);
+}
+
+void gemm_tiled_packed_direct(const PackedA& a, const float* planes, const DirectConv& map,
+                              float* c, const GemmEpilogue& ep) {
+  with_run_source(map, planes,
+                  [&](const auto& src) { run_prepacked(a, src, c, map.cols(), ep); });
+}
+
+void gemm_tiled_direct(const float* a, const float* planes, const DirectConv& map, float* c,
+                       int64_t M, GemmScratch* scratch) {
+  GemmScratch local;
+  const int64_t K = map.rows();
+  with_run_source(map, planes, [&](const auto& src) {
+    run_packed_b(GemmVariant::kNN, a, src, c, M, K, map.cols(), /*accumulate=*/false,
+                 scratch != nullptr ? *scratch : local, Operands{K, 1, 0, 0});
+  });
 }
 
 void gemm_tiled_packed_nt(const float* a, const PackedB& b, float* c, int64_t M,
@@ -451,14 +592,15 @@ void gemm_tiled_packed_nt(const float* a, const PackedB& b, float* c, int64_t M,
   // The logical product is a[M, K] * w^T — an NT-variant shape. A is
   // packed per call (row-major operand strides {K, 1}).
   GemmScratch local;
-  run_packed_b(GemmVariant::kNT, a, b.panels.data(), c, M, b.depth, b.cols, /*accumulate=*/false,
+  run_packed_b(GemmVariant::kNT, a, PanelSource{b.panels.data(), b.depth}, c, M, b.depth, b.cols,
+               /*accumulate=*/false,
                scratch != nullptr ? *scratch : local, Operands{b.depth, 1, 0, 0}, ep);
 }
 
 void gemm_tiled_panels(const float* a, const float* bpanels, float* c, int64_t M, int64_t K,
                        int64_t N, GemmScratch* scratch) {
   GemmScratch local;
-  run_packed_b(GemmVariant::kNN, a, bpanels, c, M, K, N, /*accumulate=*/false,
+  run_packed_b(GemmVariant::kNN, a, PanelSource{bpanels, K}, c, M, K, N, /*accumulate=*/false,
                scratch != nullptr ? *scratch : local, Operands{K, 1, N, 1});
 }
 

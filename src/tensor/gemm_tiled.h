@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "tensor/gemm_tune.h"
+#include "tensor/im2col.h"
 #include "tensor/scratch.h"
 
 namespace capr {
@@ -97,6 +98,14 @@ void gemm_tn_auto(const float* a, const float* b, float* c, int64_t M, int64_t K
 // gemm_tiled does. When im2col_packed reports a non-finite value the
 // conv falls back to im2col + gemm_auto, which re-scans in pack_b and
 // takes the strong-zero reference kernel.
+//
+// Direct conv (gemm_tiled_packed_direct / gemm_tiled_direct) goes one
+// step further for the geometries direct_conv_eligible accepts: no
+// panels at all. The micro-kernel's B row source is a template policy —
+// a packed-panel pointer, or 1, 2 or 4 contiguous runs at base + off[k]
+// into the padded planes fill_direct_planes wrote — under the same
+// drivers, so blocking, split-M, MR tails and the fused epilogue are
+// shared code and the bits are the panel path's.
 //
 // Bitwise contract: the packed kernels feed the exact same micro-kernel
 // with the exact same strip/panel contents and k-ascending block order
@@ -195,6 +204,23 @@ void gemm_tiled_packed(const PackedA& a, const float* bpanels, float* c, int64_t
 /// known finite; otherwise take gemm_auto on the unpacked operand.
 void gemm_tiled_panels(const float* a, const float* bpanels, float* c, int64_t M, int64_t K,
                        int64_t N, GemmScratch* scratch = nullptr);
+
+/// Direct conv, the serving half: c[M, N] = A * B (+ epilogue) where B
+/// is the column matrix of an eligible conv read through `map` over the
+/// planes fill_direct_planes wrote (im2col.h, "Direct convolution").
+/// N = map.cols(), and A.depth must equal map.rows(). Same config, block
+/// order and micro-kernel chains as gemm_tiled_packed on
+/// im2col_packed's panels, so the result is bitwise identical to it.
+/// Only call when fill_direct_planes returned true.
+void gemm_tiled_packed_direct(const PackedA& a, const float* planes, const DirectConv& map,
+                              float* c, const GemmEpilogue& ep = {});
+
+/// Direct conv with A packed per call: c[M, N] = a[M, K] * B, K =
+/// map.rows(), N = map.cols(). Bitwise identical to gemm_tiled_panels
+/// on im2col_packed's panels (and so to gemm_tiled on im2col). Only call
+/// when fill_direct_planes returned true.
+void gemm_tiled_direct(const float* a, const float* planes, const DirectConv& map, float* c,
+                       int64_t M, GemmScratch* scratch = nullptr);
 
 /// c[M, N] = a[M, K] * B^T (+ epilogue) with B pre-packed by pack_b_nt.
 /// A is packed per call into `scratch` (pass one per thread). Only call

@@ -242,6 +242,127 @@ bool im2col_packed(const float* im, const ConvGeom& g, float* panels) {
   return bad == 0;
 }
 
+namespace {
+
+/// Zeroes n floats with inlined fixed-size stores: the plane borders
+/// are a few floats per row, too short to pay for a library call each.
+inline void zero_floats(float* d, int64_t n) {
+  for (; n >= kPanelWidth; n -= kPanelWidth, d += kPanelWidth) zero_lanes(d, kPanelWidth);
+  zero_lanes(d, n);
+}
+
+/// Phase counts and plane extent of the direct lowering of `g`.
+struct PlaneDims {
+  int64_t ph, pw;  // phases per axis: min(stride, kernel)
+  int64_t h, w;    // one phase plane
+
+  explicit PlaneDims(const ConvGeom& g)
+      : ph(std::min(g.stride, g.kernel_h)),
+        pw(std::min(g.stride, g.kernel_w)),
+        h(g.out_h() + (g.kernel_h - 1) / g.stride),
+        w(g.out_w() + (g.kernel_w - 1) / g.stride) {}
+};
+
+/// fill_direct_planes body; kStride is the stride when it is a
+/// compile-time 1 or 2 (the row copies then vectorise), 0 to read it
+/// from g. Returns the OR of nonfinite_bit over the values a tap reads.
+template <int kStride>
+uint32_t fill_planes(const float* im, const ConvGeom& g, float* planes) {
+  const int64_t s = kStride > 0 ? kStride : g.stride;
+  const int64_t pad = g.padding;
+  const PlaneDims d(g);
+  uint32_t bad = 0;
+  float* dst = planes;
+  for (int64_t c = 0; c < g.in_channels; ++c) {
+    const float* chan = im + c * g.in_h * g.in_w;
+    for (int64_t ry = 0; ry < d.ph; ++ry) {
+      // Row a of phase ry is read by tap kh = ry + s*q at output row
+      // a - q, for some q <= (Kh-1-ry)/s: exactly when a < read_rows.
+      const int64_t read_rows = g.out_h() + (g.kernel_h - 1 - ry) / s;
+      for (int64_t rx = 0; rx < d.pw; ++rx) {
+        const int64_t read_cols = g.out_w() + (g.kernel_w - 1 - rx) / s;
+        // Plane columns [lo, hi) hold input columns rx + s*b - pad in
+        // [0, W); the rest is padding.
+        const int64_t lo = std::min(d.w, rx >= pad ? 0 : (pad - rx + s - 1) / s);
+        const int64_t hi = std::clamp<int64_t>((g.in_w + pad - rx + s - 1) / s, lo, d.w);
+        const int64_t check_hi = std::min(hi, read_cols);
+        for (int64_t a = 0; a < d.h; ++a, dst += d.w) {
+          const int64_t iy = ry + s * a - pad;
+          if (iy < 0 || iy >= g.in_h) {
+            zero_floats(dst, d.w);
+            continue;
+          }
+          // Columns [lo, mid) are copied and checked, [mid, hi) only
+          // copied (a row or columns no tap reads).
+          const int64_t mid = a < read_rows ? check_hi : lo;
+          const float* row = chan + iy * g.in_w;
+          zero_floats(dst, lo);
+          for (int64_t b = lo; b < mid; ++b) {
+            const float v = row[rx + s * b - pad];
+            bad |= nonfinite_bit(v);
+            dst[b] = v;
+          }
+          for (int64_t b = mid; b < hi; ++b) dst[b] = row[rx + s * b - pad];
+          zero_floats(dst + hi, d.w - hi);
+        }
+      }
+    }
+  }
+  return bad;
+}
+
+}  // namespace
+
+int64_t direct_conv_run(const ConvGeom& g) {
+  if (g.col_cols() % kPanelWidth != 0) return 0;
+  for (const int64_t run : {16, 8, 4}) {
+    if (g.out_w() % run == 0) return run;
+  }
+  return 0;
+}
+
+int64_t direct_plane_floats(const ConvGeom& g) {
+  const PlaneDims d(g);
+  return g.in_channels * d.ph * d.pw * d.h * d.w;
+}
+
+DirectConv direct_conv_map(const ConvGeom& g) {
+  static_assert(kPanelWidth == 16, "run widths 16/8/4 tile a 16-lane panel row");
+  DirectConv m;
+  m.run = direct_conv_run(g);
+  if (m.run == 0) {
+    throw std::invalid_argument("direct_conv_map: output " + std::to_string(g.out_h()) + "x" +
+                                std::to_string(g.out_w()) + " has no direct lowering");
+  }
+  const PlaneDims d(g);
+  const int64_t s = g.stride;
+  m.out_h = g.out_h();
+  m.out_w = g.out_w();
+  m.plane_w = d.w;
+  m.off.reserve(static_cast<size_t>(g.col_rows()));
+  for (int64_t c = 0; c < g.in_channels; ++c) {
+    for (int64_t kh = 0; kh < g.kernel_h; ++kh) {
+      for (int64_t kw = 0; kw < g.kernel_w; ++kw) {
+        const int64_t plane = (c * d.ph + kh % s) * d.pw + kw % s;
+        m.off.push_back(plane * d.h * d.w + (kh / s) * d.w + kw / s);
+      }
+    }
+  }
+  return m;
+}
+
+bool fill_direct_planes(const float* im, const ConvGeom& g, float* planes) {
+  uint32_t bad = 0;
+  if (g.stride == 1) {
+    bad = fill_planes<1>(im, g, planes);
+  } else if (g.stride == 2) {
+    bad = fill_planes<2>(im, g, planes);
+  } else {
+    bad = fill_planes<0>(im, g, planes);
+  }
+  return bad == 0;
+}
+
 void col2im(const float* col, const ConvGeom& g, float* im) {
   const int64_t oh = g.out_h(), ow = g.out_w();
   const int64_t plane = g.in_h * g.in_w;

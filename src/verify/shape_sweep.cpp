@@ -9,6 +9,8 @@
 #include "nn/conv2d.h"
 #include "tensor/gemm.h"
 #include "tensor/gemm_tiled.h"
+#include "tensor/gemm_tune.h"
+#include "tensor/im2col.h"
 #include "tensor/parallel.h"
 #include "tensor/rng.h"
 #include "testutil/testutil.h"
@@ -150,6 +152,43 @@ void check_im2col_packed(Rng& rng, SweepResult& r) {
                         (want_finite ? "true" : "false");
     }
   }
+}
+
+/// A random conv geometry direct_conv_eligible accepts, built from its
+/// output: Wout = run * (odd multiplier for runs 8 and 4, so the run is
+/// the largest that divides it), Hout a multiple of 16 / gcd(Wout, 16),
+/// then H and W chosen to give that output for the drawn kernel, stride
+/// and padding. `big` draws the large shapes of sweep_direct_conv.
+ConvGeom random_direct_geom(Rng& rng, bool big) {
+  ConvGeom g;
+  g.kernel_h = 1 + rng.uniform_int(5);
+  g.stride = 1 + rng.uniform_int(3);
+  g.padding = rng.uniform_int(3);
+  if (rng.uniform() < 0.1f) {  // the 1x1 stride-2 pad-0 downsampling conv
+    g.kernel_h = 1;
+    g.stride = 2;
+    g.padding = 0;
+  }
+  if (big) g.kernel_h = 3;
+  g.kernel_w = g.kernel_h;
+  const int64_t run = int64_t(16) >> rng.uniform_int(3);  // 16, 8 or 4
+  const int64_t ow = run == 16 ? 16 * (1 + rng.uniform_int(2)) : run * (1 + 2 * rng.uniform_int(2));
+  const int64_t row_mult = 16 / std::min<int64_t>(run, 16);
+  // Large shapes get N >= 256, so M*K*N clears the split-M threshold.
+  const int64_t oh = row_mult * (big ? 16 + rng.uniform_int(8) : 1 + rng.uniform_int(3));
+  g.in_channels = big ? 29 + rng.uniform_int(4) : 1 + rng.uniform_int(6);
+  // Extent e gives output (e + 2p - k) / s + 1 = o for e in
+  // [(o-1)s + k - 2p, (o-1)s + k - 2p + s - 1]; shrink the padding until
+  // that range starts at 1 or more for both outputs.
+  while (g.padding > 0 && (std::min(oh, ow) - 1) * g.stride + g.kernel_h - 2 * g.padding < 1) {
+    --g.padding;
+  }
+  const auto extent = [&](int64_t o) {
+    return (o - 1) * g.stride + g.kernel_h - 2 * g.padding + rng.uniform_int(g.stride);
+  };
+  g.in_h = extent(oh);
+  g.in_w = extent(ow);
+  return g;
 }
 
 /// Pins the worker count for one scope; restores the previous setting.
@@ -302,6 +341,122 @@ SweepResult sweep_im2col(const SweepOptions& opts) {
     }
     check_im2col_packed(rng, r);
     ++r.configs_run;
+  }
+  return r;
+}
+
+SweepResult sweep_direct_conv(const SweepOptions& opts) {
+  constexpr float kSpecials[] = {std::numeric_limits<float>::quiet_NaN(),
+                                 std::numeric_limits<float>::infinity(),
+                                 -std::numeric_limits<float>::infinity(), -0.0f};
+  constexpr uint32_t kFill = 0xFFC0DEADu;  // a NaN no plane float may keep
+  // Pinned so the large shapes split their row blocks across workers.
+  const ThreadScope threads(2);
+  Rng rng(opts.seed);
+  SweepResult r;
+  const auto fail = [&](const std::string& what) {
+    ++r.failures;
+    if (r.first_failure.empty()) r.first_failure = what;
+  };
+  // Coverage of the cases the sweep promises, checked at the end.
+  bool runs[3] = {}, strides[3] = {}, pads[3] = {};
+  bool one_by_one = false, mblocks = false, kblocks = false, mr_tail = false, split = false;
+  bool read_bad = false, unread_bad = false, neg_zero = false;
+  for (int cfg = 0; cfg < opts.configs; ++cfg) {
+    const bool big = cfg % 10 == 9;
+    const ConvGeom g = random_direct_geom(rng, big);
+    const int64_t M = big ? 73 + rng.uniform_int(24) : 1 + rng.uniform_int(20);
+    const int64_t K = g.col_rows();
+    const int64_t N = g.col_cols();
+    Tensor im = random(rng, {g.in_channels, g.in_h, g.in_w});
+    std::string planted = "none";
+    float special = 0.0f;
+    if (rng.uniform() < 0.5f) {
+      const int64_t at = rng.uniform_int(im.numel());
+      special = kSpecials[rng.uniform_int(4)];
+      im[at] = special;
+      planted = std::to_string(im[at]) + "@" + std::to_string(at);
+    }
+    std::ostringstream cs;
+    cs << geom_string(g) << " M=" << M << " planted=" << planted;
+    const std::string config = cs.str();
+    if (!direct_conv_eligible(g)) {
+      fail("sweep drew an ineligible geometry @ " + config);
+      continue;
+    }
+    const DirectConv map = direct_conv_map(g);
+
+    const Tensor col = ref_im2col(im, g);
+    bool want_finite = true;
+    for (int64_t i = 0; i < col.numel(); ++i) want_finite = want_finite && std::isfinite(col[i]);
+    std::vector<float> panels(static_cast<size_t>(packed_b_floats(K, N)));
+    std::vector<float> planes(static_cast<size_t>(direct_plane_floats(g)));
+    for (float& v : planes) std::memcpy(&v, &kFill, sizeof(float));
+    const bool panels_finite = im2col_packed(im.data(), g, panels.data());
+    const bool planes_finite = fill_direct_planes(im.data(), g, planes.data());
+    if (planes_finite != want_finite || panels_finite != want_finite) {
+      fail("direct finiteness @ " + config + ": planes " + (planes_finite ? "true" : "false") +
+           ", panels " + (panels_finite ? "true" : "false") + ", want " +
+           (want_finite ? "true" : "false"));
+    }
+    for (const float& v : planes) {
+      if (std::memcmp(&v, &kFill, sizeof(float)) == 0) {
+        fail("fill_direct_planes left a float unwritten @ " + config);
+        break;
+      }
+    }
+    if (!std::isfinite(special)) (want_finite ? unread_bad : read_bad) = true;
+    neg_zero = neg_zero || (planted != "none" && special == 0.0f);
+
+    if (want_finite && planes_finite && panels_finite) {
+      const Tensor a = random(rng, {M, K});
+      const GemmTuneConfig gc = resolve_gemm_config(GemmVariant::kNN, M, K, N);
+      const PackedA pa = pack_a_full(a.data(), M, K, gc);
+      Tensor want({M, N}), got({M, N});
+      gemm_tiled_packed(pa, panels.data(), want.data(), N);
+      gemm_tiled_packed_direct(pa, planes.data(), map, got.data());
+      record(r, bitwise_report(got, want), "gemm_tiled_packed_direct", config);
+
+      const Tensor bias = random(rng, {M});
+      GemmEpilogue ep;
+      ep.bias_row = bias.data();
+      ep.act = 1 + rng.uniform_int(2);
+      ep.alpha = 0.1f;
+      gemm_tiled_packed(pa, panels.data(), want.data(), N, ep);
+      gemm_tiled_packed_direct(pa, planes.data(), map, got.data(), ep);
+      record(r, bitwise_report(got, want), "gemm_tiled_packed_direct(epilogue)", config);
+
+      GemmScratch sw, sg;
+      gemm_tiled_panels(a.data(), panels.data(), want.data(), M, K, N, &sw);
+      gemm_tiled_direct(a.data(), planes.data(), map, got.data(), M, &sg);
+      record(r, bitwise_report(got, want), "gemm_tiled_direct", config);
+
+      mblocks = mblocks || M > gc.mc;
+      kblocks = kblocks || K > gc.kc;
+      mr_tail = mr_tail || M % gc.mr != 0;
+      split = split || (gc.strategy == GemmParallel::kSplitM && M > gc.mc);
+    }
+    runs[map.run == 16 ? 0 : map.run == 8 ? 1 : 2] = true;
+    if (g.stride <= 3) strides[g.stride - 1] = true;
+    if (g.padding <= 2) pads[g.padding] = true;
+    one_by_one = one_by_one || (g.kernel_h == 1 && g.stride == 2 && g.padding == 0);
+    ++r.configs_run;
+  }
+  const std::pair<bool, const char*> covered[] = {
+      {runs[0] && runs[1] && runs[2], "1-, 2- and 4-run panels"},
+      {strides[0] && strides[1] && strides[2], "strides 1-3"},
+      {pads[0] && pads[1] && pads[2], "pads 0-2"},
+      {one_by_one, "a 1x1 stride-2 pad-0 conv"},
+      {mblocks, "M > 72"},
+      {kblocks, "K > 256"},
+      {mr_tail, "an MR tail"},
+      {split, "a split-M GEMM"},
+      {read_bad, "a non-finite value some tap reads"},
+      {unread_bad, "a non-finite value no tap reads"},
+      {neg_zero, "a planted -0.0"},
+  };
+  for (const auto& [hit, what] : covered) {
+    if (!hit) fail(std::string("sweep_direct_conv never reached ") + what);
   }
   return r;
 }

@@ -16,6 +16,7 @@
 #include "nn/conv2d.h"
 #include "tensor/gemm.h"
 #include "tensor/gemm_tiled.h"
+#include "tensor/im2col.h"
 #include "tensor/parallel.h"
 #include "test_util.h"
 #include "verify/shape_sweep.h"
@@ -61,6 +62,38 @@ TEST(DeterminismTest, ConvForwardAndInputGradAreBitwiseAcrossThreadCounts) {
   // Disjoint per-image writes: bitwise, not merely close.
   EXPECT_TRUE(bitwise_equal(y8, y1));
   EXPECT_TRUE(bitwise_equal(gx8, gx1));
+}
+
+// Conv2d forward on an eligible geometry takes the direct path (planes
+// + offset map), on an ineligible one im2col_packed panels; both must be
+// bitwise across worker counts, and the direct one must equal the panel
+// path's bits (pinned there by the differential sweep) at every count.
+TEST(DeterminismTest, DirectAndPanelConvForwardAreBitwiseAcrossThreadCounts) {
+  ThreadGuard guard;
+  struct Case {
+    int64_t cin, cout, hw, kernel, stride, pad;
+    bool direct;
+  };
+  const Case cases[] = {
+      {8, 20, 16, 3, 1, 1, true},   // 16x16 output: direct
+      {6, 20, 10, 3, 1, 1, false},  // 10x10 output: panels
+  };
+  for (const Case& c : cases) {
+    nn::Conv2d conv(c.cin, c.cout, c.kernel, c.stride, c.pad, true);
+    Rng rng(9);
+    rng.fill_uniform(conv.weight().value, -0.5f, 0.5f);
+    rng.fill_uniform(conv.bias().value, -0.5f, 0.5f);
+    const Tensor x = testing::random_tensor({6, c.cin, c.hw, c.hw}, 10);
+    const ConvGeom g{c.cin, c.hw, c.hw, c.kernel, c.kernel, c.stride, c.pad};
+    ASSERT_EQ(direct_conv_eligible(g), c.direct);
+    set_num_threads(1);
+    const Tensor y1 = conv.forward(x, false);
+    for (int threads : {2, 4}) {
+      set_num_threads(threads);
+      EXPECT_TRUE(bitwise_equal(conv.forward(x, false), y1))
+          << (c.direct ? "direct" : "panels") << " threads=" << threads;
+    }
+  }
 }
 
 TEST(DeterminismTest, ConvSweepOneVsEightWorkers) {

@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -286,6 +288,80 @@ TEST(GemmTiledBitwiseTest, OneVsManyWorkers) {
     }
   }
   set_num_threads(0);
+}
+
+// ---- direct conv ------------------------------------------------------------
+
+TEST(DirectConvTest, EligibilityIsTheRunWidthOfWout) {
+  // {C, H, W, k, stride, pad} -> run width (0 = panels).
+  struct Case {
+    ConvGeom g;
+    int64_t run;
+  };
+  const Case cases[] = {
+      {{8, 32, 32, 3, 3, 1, 1}, 16},  // serve-compute node 3
+      {{8, 32, 32, 3, 3, 2, 1}, 16},  // 16x16 output
+      {{8, 32, 32, 1, 1, 2, 0}, 16},  // 1x1 stride-2, one phase
+      {{32, 8, 8, 3, 3, 1, 1}, 8},    // 8x8: two 8-lane runs per panel
+      {{32, 8, 24, 3, 3, 1, 1}, 8},   // Wout 24
+      {{64, 4, 4, 3, 3, 1, 1}, 4},    // 4x4: four 4-lane runs
+      {{64, 8, 12, 3, 3, 1, 1}, 4},   // Wout 12, Hout 8
+      {{128, 2, 2, 3, 3, 1, 1}, 0},   // vgg's 2x2 tail: 4 columns
+      {{8, 1, 8, 1, 1, 1, 0}, 0},     // 8 columns, not a whole panel
+      {{8, 16, 20, 3, 3, 1, 1}, 4},   // Wout 20: 4-lane runs
+      {{8, 16, 18, 3, 3, 1, 1}, 0},   // Wout 18: 288 columns, but no run width divides 18
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(direct_conv_run(c.g), c.run)
+        << c.g.in_channels << "x" << c.g.in_h << "x" << c.g.in_w << " k" << c.g.kernel_h
+        << " s" << c.g.stride << " p" << c.g.padding;
+    EXPECT_EQ(direct_conv_eligible(c.g), c.run != 0);
+  }
+  EXPECT_THROW(direct_conv_map(cases[7].g), std::invalid_argument);
+}
+
+// The GEMM's run loads must stay inside the planes. Each plane buffer
+// here is its own heap block of exactly direct_plane_floats(g) floats
+// whose last float some run reads, so under AddressSanitizer a load one
+// float past the plane is a heap-buffer-overflow; in every build the
+// result must equal the panel path.
+TEST(DirectConvTest, RunLoadsEndAtThePlaneBufferEnd) {
+  const ConvGeom geoms[] = {
+      {3, 16, 16, 3, 3, 1, 1},  // 16-lane runs
+      {5, 8, 8, 3, 3, 1, 1},    // 8-lane runs
+      {7, 4, 4, 3, 3, 1, 1},    // 4-lane runs
+      {4, 8, 8, 5, 5, 1, 2},    // 5x5
+      {3, 31, 31, 1, 1, 2, 0},  // 1x1 stride 2: one phase
+      {2, 16, 32, 2, 2, 2, 0},  // 2x2 stride 2: four phases, all read
+  };
+  for (const ConvGeom& g : geoms) {
+    const DirectConv map = direct_conv_map(g);
+    const int64_t n = direct_plane_floats(g);
+    // The furthest float any run reads: the last panel's last run at the
+    // largest offset.
+    int64_t furthest = 0;
+    const int64_t last_col = g.col_cols() - map.run;
+    const int64_t base = (last_col / map.out_w) * map.plane_w + last_col % map.out_w;
+    for (int64_t o : map.off) furthest = std::max(furthest, base + o + map.run - 1);
+    ASSERT_EQ(furthest, n - 1) << "the geometry does not read its planes' last float";
+
+    const int64_t K = g.col_rows(), N = g.col_cols(), M = 7;
+    const std::vector<float> im = fill(g.in_channels * g.in_h * g.in_w, 21);
+    const std::vector<float> a = fill(M * K, 22);
+    const std::unique_ptr<float[]> planes(new float[static_cast<size_t>(n)]);
+    ASSERT_TRUE(fill_direct_planes(im.data(), g, planes.get()));
+    std::vector<float> panels(static_cast<size_t>(packed_b_floats(K, N)));
+    ASSERT_TRUE(im2col_packed(im.data(), g, panels.data()));
+
+    const PackedA pa = pack_a_full(a.data(), M, K, resolve_gemm_config(GemmVariant::kNN, M, K, N));
+    std::vector<float> want(static_cast<size_t>(M * N)), got(want.size());
+    gemm_tiled_packed(pa, panels.data(), want.data(), N);
+    gemm_tiled_packed_direct(pa, planes.get(), map, got.data());
+    EXPECT_TRUE(same_bits(want, got)) << "packed, run " << map.run;
+    gemm_tiled_panels(a.data(), panels.data(), want.data(), M, K, N);
+    gemm_tiled_direct(a.data(), planes.get(), map, got.data(), M);
+    EXPECT_TRUE(same_bits(want, got)) << "per-call A, run " << map.run;
+  }
 }
 
 }  // namespace

@@ -67,6 +67,14 @@ TEST(OracleSweepTest, Im2colCol2imMatchReferenceAndAreAdjoint) {
   EXPECT_TRUE(r.ok()) << r.first_failure;
 }
 
+TEST(OracleSweepTest, DirectConvMatchesPanelPathBytewise) {
+  SweepOptions opts;
+  opts.configs = 1000;
+  const SweepResult r = sweep_direct_conv(opts);
+  EXPECT_EQ(r.configs_run, 1000);
+  EXPECT_TRUE(r.ok()) << r.failures << " failure(s); first: " << r.first_failure;
+}
+
 TEST(OracleSweepTest, Conv2dForwardBackwardMatchDirectConvolution) {
   SweepOptions opts;
   opts.configs = 55;

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -174,6 +175,68 @@ TEST(PlanVerifierTest, WrongLinearPanelShapeIsRejected) {
   const PlanLint lint = lint_plan(c.plan, c.graph);
   ASSERT_FALSE(lint.ok());
   EXPECT_TRUE(lint.has(PlanDiagCode::kPanelShape)) << lint.to_string();
+}
+
+/// The first conv step of `c` whose recorded lowering is `lowering`.
+Step* conv_with(Compiled& c, ConvLowering lowering) {
+  for (Step& s : PlanTestAccess::steps(c.plan)) {
+    if (s.kind == StepKind::kConv && s.lowering == lowering) return &s;
+  }
+  return nullptr;
+}
+
+// vgg11 at 8 px ends in 2x2 convs (4 columns: no direct lowering) after
+// 8x8 and 4x4 ones (direct), so it carries both choices.
+TEST(PlanVerifierTest, LoweringChoiceDisagreeingWithEligibilityIsRejected) {
+  for (const ConvLowering recorded : {ConvLowering::kPanels, ConvLowering::kDirect}) {
+    Compiled c = compiled("vgg11", CompileOptions{});
+    Step* conv = conv_with(c, recorded);
+    ASSERT_NE(conv, nullptr) << "no " << to_string(recorded) << " conv in vgg11";
+    ASSERT_TRUE(lint_plan(c.plan, c.graph).ok());
+    if (recorded == ConvLowering::kPanels) {
+      conv->lowering = ConvLowering::kDirect;  // ineligible geometry
+    } else {
+      conv->lowering = ConvLowering::kPanels;  // eligible geometry
+    }
+    const PlanLint lint = lint_plan(c.plan, c.graph);
+    ASSERT_FALSE(lint.ok()) << to_string(recorded);
+    EXPECT_TRUE(lint.has(PlanDiagCode::kPanelShape)) << lint.to_string();
+  }
+}
+
+TEST(PlanVerifierTest, WrongOffsetTableSizeIsRejected) {
+  Compiled c = compiled("tiny", CompileOptions{});
+  Step* conv = conv_with(c, ConvLowering::kDirect);
+  ASSERT_NE(conv, nullptr);
+  conv->direct.off.pop_back();  // one column-matrix row without a tap
+  const PlanLint lint = lint_plan(c.plan, c.graph);
+  ASSERT_FALSE(lint.ok());
+  EXPECT_TRUE(lint.has(PlanDiagCode::kPanelShape)) << lint.to_string();
+}
+
+TEST(PlanVerifierTest, WrongOffsetMapIsRejected) {
+  Compiled c = compiled("tiny", CompileOptions{});
+  Step* conv = conv_with(c, ConvLowering::kDirect);
+  ASSERT_NE(conv, nullptr);
+  conv->direct.off.back() += 1;  // the last tap's runs would end past the planes
+  const PlanLint lint = lint_plan(c.plan, c.graph);
+  ASSERT_FALSE(lint.ok());
+  EXPECT_TRUE(lint.has(PlanDiagCode::kPanelShape)) << lint.to_string();
+}
+
+// The declared pre-size is slot 0's largest B operand (direct planes
+// here, every tiny conv is direct) plus slot 1's largest column matrix.
+TEST(PlanVerifierTest, ScratchDemandCountsThePlaneBuffer) {
+  Compiled c = compiled("tiny", CompileOptions{});
+  int64_t planes = 0, col = 0;
+  for (const Step& s : c.plan.steps()) {
+    if (s.kind != StepKind::kConv) continue;
+    ASSERT_EQ(s.lowering, ConvLowering::kDirect);
+    planes = std::max(planes, direct_plane_floats(s.geom));
+    col = std::max(col, s.geom.col_rows() * s.geom.col_cols());
+  }
+  EXPECT_EQ(c.plan.scratch_floats(), planes + col);
+  EXPECT_EQ(conv_scratch_floats(c.plan.steps()), planes + col);
 }
 
 TEST(PlanVerifierTest, SpuriousFallbackIsRejected) {

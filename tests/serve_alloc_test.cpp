@@ -147,6 +147,49 @@ TEST(ServeAllocTest, CompiledRunRefIsAllocationFreeThroughSplitMGemm) {
   set_num_threads(0);
 }
 
+// The direct conv path (padded planes read through an offset map) keeps
+// the contract: resnet20 at 16 px lowers every conv directly (16x16,
+// 8x8 and 4x4 outputs), and after warm() at batch 8 with 2 threads a run
+// at batch 1 or 8 allocates nothing. Each worker holds one plane buffer,
+// in arena slot 0 under the plan's declared pre-size.
+TEST(ServeAllocTest, DirectConvPlanIsAllocationFreeAfterWarm) {
+  GemmKernelScope kernel(GemmKernel::kTiled);
+  set_num_threads(2);
+  models::BuildConfig cfg = small_cfg();
+  cfg.input_size = 16;
+  const nn::Model model = models::make_model("resnet20", cfg);
+  const graph::ModuleGraph g = graph::ModuleGraph::build(model);
+  ASSERT_TRUE(g.ok());
+  const compile::CompileResult result = compile::compile(g);
+  ASSERT_NE(result.plan, nullptr);
+  const compile::ExecutionPlan& plan = *result.plan;
+  int convs = 0;
+  for (const compile::Step& s : plan.steps()) {
+    if (s.kind != compile::StepKind::kConv) continue;
+    ++convs;
+    EXPECT_EQ(s.lowering, compile::ConvLowering::kDirect) << "node " << s.nodes.front();
+  }
+  ASSERT_GT(convs, 0);
+
+  constexpr int64_t kMaxBatch = 8;
+  const Shape in = {cfg.input_channels, cfg.input_size, cfg.input_size};
+  const Tensor full = random_batch(in, kMaxBatch, 17);
+  const Tensor single = random_batch(in, 1, 18);
+  nn::InferScratch scratch;
+  plan.warm(scratch, kMaxBatch);
+  const int64_t resident = scratch.arena.resident_floats();
+  EXPECT_LE(resident, 2 * plan.scratch_floats()) << "more than one plane buffer per worker";
+
+  const uint64_t before = float_alloc_count();
+  for (int i = 0; i < 16; ++i) {
+    plan.run_ref(single, scratch);
+    plan.run_ref(full, scratch);
+  }
+  EXPECT_EQ(float_alloc_count(), before) << "direct-conv steady state allocated";
+  EXPECT_EQ(scratch.arena.resident_floats(), resident) << "arena grew after warm()";
+  set_num_threads(0);
+}
+
 // Contrast: the interpreted path constructs fresh intermediate tensors
 // on every layer call, so it allocates on every run even when warm.
 // This is the overhead the compiled plan's pre-sized slots eliminate —

@@ -174,14 +174,18 @@ int main(int argc, char** argv) {
 
     // Each client owns a pool of synthetic samples and submits its share
     // of the total, blocking on queue space (so nothing is shed here —
-    // use --timeout-us to exercise deadline rejection instead).
-    const int per_client = (opts.requests + opts.clients - 1) / opts.clients;
+    // use --timeout-us to exercise deadline rejection instead). The first
+    // requests % clients clients send one extra, so exactly --requests go
+    // out.
+    const int base_share = opts.requests / opts.clients;
+    const int extra = opts.requests % opts.clients;
     std::vector<std::vector<int64_t>> latencies(static_cast<size_t>(opts.clients));
     std::vector<std::vector<InferResult>> failures(static_cast<size_t>(opts.clients));
     const auto t0 = std::chrono::steady_clock::now();
     std::vector<std::thread> clients;
     for (int c = 0; c < opts.clients; ++c) {
       clients.emplace_back([&, c] {
+        const int share = base_share + (c < extra ? 1 : 0);
         capr::Rng rng(1234 + static_cast<uint64_t>(c));
         std::vector<capr::Tensor> samples;
         for (int i = 0; i < 4; ++i) {
@@ -190,7 +194,7 @@ int main(int argc, char** argv) {
           samples.push_back(std::move(s));
         }
         std::vector<std::future<InferResult>> futs;
-        for (int r = 0; r < per_client; ++r) {
+        for (int r = 0; r < share; ++r) {
           futs.push_back(server.submit(samples[static_cast<size_t>(r % 4)]));
         }
         for (auto& fut : futs) {
