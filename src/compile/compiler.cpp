@@ -298,8 +298,8 @@ CompileResult compile(const graph::ModuleGraph& g, const CompileOptions& opts) {
   std::vector<int> slot_of;
   lower(g, b, slot_of);
   if (opts.fold_batchnorm) b.set_folded(fold_batchnorm(b));
-  if (opts.fuse_epilogues) b.set_fused(fuse_epilogues(b));
-  if (opts.prepack_weights) prepack_weights(b);
+  b.set_fused(fuse_epilogues(b));
+  prepack_weights(b);
 
   const int output_slot = slot_of[g.nodes().size() - 1];
   std::shared_ptr<const ExecutionPlan> plan = b.finish(g, output_slot);

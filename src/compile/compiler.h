@@ -14,12 +14,14 @@
 //                         else kPanels.
 //   2. fold_batchnorm   — folds a BatchNorm into its single-producer
 //                         conv's weights/bias (double-precision fold;
-//                         the one eps-bounded pass). [opts.fold_batchnorm]
+//                         the one eps-bounded pass, and the only one
+//                         CompileOptions can switch off).
 //   3. fuse_epilogues   — merges a ReLU/LeakyReLU step into its single
-//                         producer's write-back. Exact. [opts.fuse_epilogues]
+//                         producer's write-back. Exact.
 //   4. prepack_weights  — packs conv filter matrices into tiled A-strips
 //                         and the linear weight into B-panels at build
-//                         time. Exact. [opts.prepack_weights]
+//                         time. Exact; every conv step runs conv_image
+//                         on its strips.
 //   5. finalize         — slot count, output slot, stats.
 //
 // Compilation never throws on model problems: an ill-formed graph (or an
@@ -39,19 +41,15 @@
 
 namespace capr::compile {
 
-/// Pass toggles. Defaults enable every exact pass AND the eps-bounded
-/// BN fold; serving modes that need the bitwise interpreted contract
-/// compile with fold_batchnorm = false (serve/session.h).
+/// The one pass toggle. The exact passes always run; the eps-bounded BN
+/// fold is on by default, and serving modes that need the bitwise
+/// interpreted contract compile with fold_batchnorm = false
+/// (serve/session.h).
 struct CompileOptions {
   bool fold_batchnorm = true;
-  bool fuse_epilogues = true;
-  bool prepack_weights = true;
 
   /// Stable encoding mixed into the plan cache key.
-  uint64_t bits() const {
-    return (fold_batchnorm ? 1u : 0u) | (fuse_epilogues ? 2u : 0u) |
-           (prepack_weights ? 4u : 0u);
-  }
+  uint64_t bits() const { return fold_batchnorm ? 1u : 0u; }
 };
 
 /// A recorded compilation failure (never thrown).

@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <sstream>
 
+#include "graph/dump.h"
+
 namespace capr::compile {
 namespace {
 
@@ -46,13 +48,12 @@ std::string to_json(const ExecutionPlan& plan, const graph::ModuleGraph& g,
   std::ostringstream os;
   os << "{\n";
   os << "  \"schema\": \"capr-exec-plan-v1\",\n";
-  os << "  \"arch\": \"" << arch << "\",\n";
+  os << "  \"arch\": \"" << graph::json_escape(arch) << "\",\n";
   // Structural half only: weight bytes would make the golden depend on
   // the init RNG, which is seeded but float-format fragile.
   os << "  \"structural_hash\": \"" << hex64(hash_graph(g).structural) << "\",\n";
   os << "  \"options\": {\"fold_batchnorm\": " << (opts.fold_batchnorm ? "true" : "false")
-     << ", \"fuse_epilogues\": " << (opts.fuse_epilogues ? "true" : "false")
-     << ", \"prepack_weights\": " << (opts.prepack_weights ? "true" : "false") << "},\n";
+     << "},\n";
   os << "  \"input_shape\": ";
   shape_json(os, plan.input_shape());
   os << ",\n  \"steps\": [\n";
@@ -71,15 +72,12 @@ std::string to_json(const ExecutionPlan& plan, const graph::ModuleGraph& g,
          << ", \"prepacked\": " << (s.prepacked ? "true" : "false")
          << ", \"lowering\": \"" << to_string(s.lowering) << "\""
          << ", \"prepacked_floats\": " << static_cast<int64_t>(s.packed_w.strips.size());
-      if (s.prepacked) {
-        // Packing provenance: the GEMM config the strips were laid out
-        // for. Changes when the fixed config or its split threshold
-        // does, which is exactly what the golden diff should surface.
-        os << ", \"packed_mc\": " << s.packed_w.cfg.mc
-           << ", \"packed_kc\": " << s.packed_w.cfg.kc
-           << ", \"packed_mr\": " << s.packed_w.cfg.mr
-           << ", \"packed_strategy\": \"" << to_string(s.packed_w.cfg.strategy) << "\"";
-      }
+      // Packing provenance: the GEMM config the strips were laid out for.
+      // Changes when the fixed config or its split threshold does, which
+      // is exactly what the golden diff should surface.
+      os << ", \"packed_mc\": " << s.packed_w.cfg.mc << ", \"packed_kc\": " << s.packed_w.cfg.kc
+         << ", \"packed_mr\": " << s.packed_w.cfg.mr
+         << ", \"packed_strategy\": \"" << to_string(s.packed_w.cfg.strategy) << "\"";
     } else if (s.kind == StepKind::kLinear) {
       os << ", \"prepacked\": " << (s.prepacked ? "true" : "false")
          << ", \"prepacked_floats\": " << static_cast<int64_t>(s.packed_in.panels.size());

@@ -18,7 +18,7 @@ namespace capr::compile {
 
 /// Pretty-printed JSON, trailing newline included. `g` must be the graph
 /// `plan` was compiled from (its structural hash is recorded); `arch` is
-/// recorded verbatim ("" when unknown).
+/// recorded as a JSON-escaped string ("" when unknown).
 std::string to_json(const ExecutionPlan& plan, const graph::ModuleGraph& g,
                     const CompileOptions& opts, const std::string& arch = "");
 

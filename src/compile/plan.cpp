@@ -31,76 +31,23 @@ void apply_act(Epilogue act, float alpha, float* p, int64_t count) {
   }
 }
 
-/// Conv bias + activation applied after an unfused GEMM: bitwise the
-/// bias loop of Conv2d::compute_forward followed by the activation
-/// layer's element pass.
-void apply_bias_act(const Step& s, float* obase, int64_t cout, int64_t cols) {
-  if (!s.bias.empty()) {
-    for (int64_t c = 0; c < cout; ++c) {
-      const float b = s.bias[c];
-      float* row = obase + c * cols;
-      for (int64_t j = 0; j < cols; ++j) row[j] += b;
-    }
-  }
-  apply_act(s.act, s.alpha, obase, cout * cols);
-}
-
 void exec_conv(const Step& s, const Tensor& in, Tensor& out, ScratchArena& arena) {
   const ConvGeom& g = s.geom;
   const int64_t n = in.dim(0);
-  const int64_t cols = g.col_cols();
-  const int64_t krows = g.col_rows();
-  const int64_t cout = s.out_channels;
   const int64_t in_stride = g.in_channels * g.in_h * g.in_w;
-  out.reset({n, cout, g.out_h(), g.out_w()});
+  const int64_t out_stride = s.out_channels * g.col_cols();
+  out.reset({n, s.out_channels, g.out_h(), g.out_w()});
   // Worker layout mirrors Conv2d::compute_forward so the parallel_for
   // decisions (and therefore every nested-GEMM dispatch) are identical.
   const int workers = std::max(1, std::min<int>(num_threads(), static_cast<int>(n)));
   arena.prepare(workers);
-  const bool tiled = gemm_kernel() == GemmKernel::kTiled;
   GemmEpilogue ep;
   ep.bias_row = s.bias.empty() ? nullptr : s.bias.data();
   ep.act = static_cast<int>(s.act);
   ep.alpha = s.alpha;
   parallel_for(0, n, [&](int tid, int64_t i) {
-    const float* image = in.data() + i * in_stride;
-    float* obase = out.data() + i * cout * cols;
-    if (tiled && s.lowering == ConvLowering::kDirect) {
-      float* planes = arena.floats(tid, 0, direct_plane_floats(g));
-      if (fill_direct_planes(image, g, planes)) {
-        if (s.prepacked) {
-          gemm_tiled_packed_direct(s.packed_w, planes, s.direct, obase, ep);
-        } else {
-          gemm_tiled_direct(s.weight.data(), planes, s.direct, obase, cout, &arena.gemm(tid));
-          apply_bias_act(s, obase, cout, cols);
-        }
-        return;
-      }
-      // Non-finite activations: the strong-zero reference product below,
-      // the same condition and fallback as the panel path.
-    } else if (tiled) {
-      if (s.prepacked) {
-        float* panels = arena.floats(tid, 0, packed_b_floats(krows, cols));
-        if (im2col_packed(image, g, panels)) {
-          gemm_tiled_packed(s.packed_w, panels, obase, cols, ep);
-          return;
-        }
-        // Non-finite activations: fall through to the strong-zero
-        // reference product, the same condition and fallback pack_b
-        // triggers on the per-call tiled path.
-      } else {
-        float* col = arena.floats(tid, 1, krows * cols);
-        im2col(image, g, col);
-        gemm_tiled(s.weight.data(), col, obase, cout, krows, cols, /*accumulate=*/false,
-                   &arena.gemm(tid));
-        apply_bias_act(s, obase, cout, cols);
-        return;
-      }
-    }
-    float* col = arena.floats(tid, 1, krows * cols);
-    im2col(image, g, col);
-    gemm(s.weight.data(), col, obase, cout, krows, cols, /*accumulate=*/false);
-    apply_bias_act(s, obase, cout, cols);
+    conv_image(s.packed_w, s.weight.data(), in.data() + i * in_stride, g, s.direct, arena, tid,
+               out.data() + i * out_stride, ep);
   });
 }
 
@@ -235,7 +182,7 @@ void exec_linear(const Step& s, const Tensor& in, Tensor& out, ScratchArena& are
   out.reset({n, outfeat});
   arena.prepare(1);
   const bool tiled = gemm_kernel() == GemmKernel::kTiled;
-  if (tiled && s.prepacked && s.packed_in.finite) {
+  if (tiled && s.packed_in.finite) {
     GemmEpilogue ep;
     ep.bias_col = s.bias.empty() ? nullptr : s.bias.data();
     ep.act = static_cast<int>(s.act);
@@ -244,9 +191,9 @@ void exec_linear(const Step& s, const Tensor& in, Tensor& out, ScratchArena& are
     return;
   }
   if (tiled) {
-    // Not pre-packed, or the weight scan found non-finite values: the
-    // per-call tiled NT kernel, which itself takes the transpose +
-    // strong-zero reference fallback exactly as matmul_nt would.
+    // The weight scan found non-finite values: the per-call tiled NT
+    // kernel, which itself takes the transpose + strong-zero reference
+    // fallback exactly as matmul_nt would.
     gemm_tiled_nt(in.data(), s.weight.data(), out.data(), n, infeat, outfeat,
                   /*accumulate=*/false, &arena.gemm(0));
   } else {
@@ -330,23 +277,14 @@ Tensor ExecutionPlan::run(const Tensor& batch, nn::InferScratch& scratch) const 
 
 void ExecutionPlan::warm(nn::InferScratch& scratch, int64_t max_batch) const {
   if (max_batch < 1) max_batch = 1;
-  // Pre-size the per-worker GEMM scratch for the config dispatch
-  // resolves on each step's shape (its strategy decides whether per-
-  // worker A packs are needed), then run one zero batch so the arena
-  // slot buffers also reach steady state. After warm() the hot loop
-  // allocates nothing. A pre-packed conv never touches GemmScratch
-  // (gemm_tiled_packed and its reference fallback both run without
-  // one), so only the others reserve.
-  const int workers =
-      std::max(1, std::min<int>(num_threads(), static_cast<int>(max_batch)));
-  scratch.arena.prepare(workers);
+  // Pre-size the linear steps' GEMM scratch for the config dispatch
+  // resolves on their shape, then run one zero batch so the arena slot
+  // buffers also reach steady state. After warm() the hot loop allocates
+  // nothing. A conv step never touches GemmScratch (its A is pre-packed,
+  // and the reference fallback runs without one).
+  scratch.arena.prepare(1);
   for (const Step& s : steps_) {
-    if (s.kind == StepKind::kConv && !s.prepacked) {
-      for (int t = 0; t < workers; ++t) {
-        reserve_gemm_scratch(scratch.arena.gemm(t), GemmVariant::kNN, s.out_channels,
-                             s.geom.col_rows(), s.geom.col_cols());
-      }
-    } else if (s.kind == StepKind::kLinear && s.weight.rank() == 2) {
+    if (s.kind == StepKind::kLinear && s.weight.rank() == 2) {
       reserve_gemm_scratch(scratch.arena.gemm(0), GemmVariant::kNT, max_batch,
                            s.weight.dim(1), s.out_channels);
     }
@@ -374,11 +312,9 @@ int64_t conv_scratch_floats(const std::vector<Step>& steps) {
     if (s.kind != StepKind::kConv) continue;
     const int64_t krows = s.geom.col_rows();
     const int64_t cols = s.geom.col_cols();
-    if (s.lowering == ConvLowering::kDirect) {
-      operand = std::max(operand, direct_plane_floats(s.geom));
-    } else if (s.prepacked) {
-      operand = std::max(operand, packed_b_floats(krows, cols));
-    }
+    operand = std::max(operand, s.lowering == ConvLowering::kDirect
+                                    ? direct_plane_floats(s.geom)
+                                    : packed_b_floats(krows, cols));
     col = std::max(col, krows * cols);
   }
   return operand + col;

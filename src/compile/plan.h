@@ -2,22 +2,23 @@
 // forward pass.
 //
 // The interpreted path (Layer::forward_inference) re-decides everything
-// per call: it copies the filter matrix, re-packs the im2col operand for
-// the tiled GEMM, allocates every intermediate activation, and walks the
-// layer tree. A plan front-loads all of that to compile time
-// (src/compile/compiler.h): layers become a flat vector of Steps over
-// numbered value slots, BatchNorms can be folded into their producer
-// convs, ReLU/LeakyReLU epilogues are fused into the producing step's
-// write-back, and conv/linear weights are pre-packed into the tiled
-// kernel's strip/panel layouts. At run time the plan only executes.
+// per call: it packs the filter matrix, allocates every intermediate
+// activation, and walks the layer tree. A plan front-loads all of that
+// to compile time (src/compile/compiler.h): layers become a flat vector
+// of Steps over numbered value slots, BatchNorms can be folded into
+// their producer convs, ReLU/LeakyReLU epilogues are fused into the
+// producing step's write-back, and conv/linear weights are pre-packed
+// into the tiled kernel's strip/panel layouts. At run time the plan
+// only executes.
 //
 // Numerics contract (pinned by tests/compile_test.cpp):
 //   - With BN folding OFF, a plan's output is BITWISE identical to the
 //     interpreted forward under either GEMM kernel: every step either
 //     re-runs the interpreted arithmetic through the same shared
 //     out-of-line kernels (bn_eval, gemm_nt_ref_rows, the tiled
-//     micro-kernel) or replicates its exact element-order float ops.
-//     Epilogue fusion and weight pre-packing are exact transformations.
+//     micro-kernel, conv_image) or replicates its exact element-order
+//     float ops. Epilogue fusion and weight pre-packing are exact
+//     transformations.
 //   - BN folding is the one value-changing pass: it rewrites weights as
 //     w' = w * gamma/sqrt(var+eps) in double precision, so folded plans
 //     agree with the interpreted forward to a small relative epsilon,
@@ -93,10 +94,10 @@ struct Step {
   Tensor bias;
   PackedA packed_w;   // kConv: pre-packed weight strips
   PackedB packed_in;  // kLinear: pre-packed transposed weight panels
-  bool prepacked = false;
+  bool prepacked = false;  // always true once compile() returns the plan
   bool folded_bn = false;  // kConv: a BatchNorm was folded into weight/bias
   ConvLowering lowering = ConvLowering::kPanels;  // kConv
-  DirectConv direct;  // kConv with kDirect: direct_conv_map(geom)
+  DirectConv direct;  // kConv with kDirect: direct_conv_map(geom); else empty
 
   // kBatchNorm: owned copies so a shareable plan outlives the model.
   std::vector<float> bn_gamma, bn_beta, bn_mean, bn_var;
@@ -166,9 +167,9 @@ class ExecutionPlan {
   int64_t scratch_floats_ = 0;
 };
 
-/// Worst-case per-worker arena floats the conv steps need: slot 0 holds
-/// the B operand a tiled conv builds (direct planes, or packed panels on
-/// a pre-packed kPanels step), slot 1 a plain column matrix (the
+/// Worst-case per-worker arena floats the conv steps need (conv_image):
+/// slot 0 holds the B operand a tiled conv builds (direct planes, or
+/// packed panels on a kPanels step), slot 1 a plain column matrix (the
 /// reference path and the non-finite fallback), each sized to its
 /// largest user. The one demand model ExecutionPlan and the verifier
 /// both apply.

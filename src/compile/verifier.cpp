@@ -399,39 +399,44 @@ PlanLint lint_plan(const ExecutionPlan& plan, const graph::ModuleGraph& g) {
       } else if (s.lowering == ConvLowering::kDirect && s.direct != direct_conv_map(s.geom)) {
         lint.add(diag(PlanDiagCode::kPanelShape, idx, graph::kNoNode,
                       "direct conv offset map disagrees with the one its geometry implies"));
+      } else if (s.lowering == ConvLowering::kPanels && s.direct.run != 0) {
+        lint.add(diag(PlanDiagCode::kPanelShape, idx, graph::kNoNode,
+                      "panels conv carries an offset map, which would send it down the "
+                      "direct path"));
       }
-      if (s.prepacked) {
-        if (s.packed_w.rows != s.out_channels || s.packed_w.depth != krows) {
-          lint.add(diag(PlanDiagCode::kPanelShape, idx, graph::kNoNode,
-                        "packed conv strips are [" + std::to_string(s.packed_w.rows) +
-                            ", " + std::to_string(s.packed_w.depth) +
-                            "] for a logical [" + std::to_string(s.out_channels) + ", " +
-                            std::to_string(krows) + "] weight"));
-        } else if (std::string why; !gemm_config_valid(s.packed_w.cfg, &why)) {
-          lint.add(diag(PlanDiagCode::kPanelShape, idx, graph::kNoNode,
-                        "packed conv strips record an illegal GEMM config: " + why));
-        } else if (const GemmTuneConfig& cfg = s.packed_w.cfg;
-                   s.packed_w.kblocks != (krows + cfg.kc - 1) / cfg.kc ||
-                   s.packed_w.block_offset.size() !=
-                       static_cast<size_t>(((s.out_channels + cfg.mc - 1) / cfg.mc) *
-                                           s.packed_w.kblocks) ||
-                   s.packed_w.strips.size() !=
-                       static_cast<size_t>(gemm_apack_all_floats(
-                           s.packed_w.rows, s.packed_w.depth, cfg))) {
-          // Exact recompute from the recorded config: block count and
-          // strip floats must match the pack_a_full layout to the float.
-          lint.add(diag(PlanDiagCode::kPanelShape, idx, graph::kNoNode,
-                        "packed conv strip buffer holds " +
-                            std::to_string(s.packed_w.strips.size()) +
-                            " floats in " + std::to_string(s.packed_w.kblocks) +
-                            " k-blocks; the recorded config (mc=" +
-                            std::to_string(cfg.mc) + " kc=" + std::to_string(cfg.kc) +
-                            " mr=" + std::to_string(cfg.mr) + ") lays out " +
-                            std::to_string(gemm_apack_all_floats(
-                                s.packed_w.rows, s.packed_w.depth, cfg)) +
-                            " floats in " +
-                            std::to_string((krows + cfg.kc - 1) / cfg.kc) + " k-blocks"));
-        }
+      // Every conv step runs conv_image on packed_w under the tiled
+      // kernel, so the strips must be the weight's, laid out for a legal
+      // config.
+      if (s.packed_w.rows != s.out_channels || s.packed_w.depth != krows) {
+        lint.add(diag(PlanDiagCode::kPanelShape, idx, graph::kNoNode,
+                      "packed conv strips are [" + std::to_string(s.packed_w.rows) +
+                          ", " + std::to_string(s.packed_w.depth) +
+                          "] for a logical [" + std::to_string(s.out_channels) + ", " +
+                          std::to_string(krows) + "] weight"));
+      } else if (std::string why; !gemm_config_valid(s.packed_w.cfg, &why)) {
+        lint.add(diag(PlanDiagCode::kPanelShape, idx, graph::kNoNode,
+                      "packed conv strips record an illegal GEMM config: " + why));
+      } else if (const GemmTuneConfig& cfg = s.packed_w.cfg;
+                 s.packed_w.kblocks != (krows + cfg.kc - 1) / cfg.kc ||
+                 s.packed_w.block_offset.size() !=
+                     static_cast<size_t>(((s.out_channels + cfg.mc - 1) / cfg.mc) *
+                                         s.packed_w.kblocks) ||
+                 s.packed_w.strips.size() !=
+                     static_cast<size_t>(gemm_apack_all_floats(
+                         s.packed_w.rows, s.packed_w.depth, cfg))) {
+        // Exact recompute from the recorded config: block count and
+        // strip floats must match the pack_a_full layout to the float.
+        lint.add(diag(PlanDiagCode::kPanelShape, idx, graph::kNoNode,
+                      "packed conv strip buffer holds " +
+                          std::to_string(s.packed_w.strips.size()) +
+                          " floats in " + std::to_string(s.packed_w.kblocks) +
+                          " k-blocks; the recorded config (mc=" +
+                          std::to_string(cfg.mc) + " kc=" + std::to_string(cfg.kc) +
+                          " mr=" + std::to_string(cfg.mr) + ") lays out " +
+                          std::to_string(gemm_apack_all_floats(
+                              s.packed_w.rows, s.packed_w.depth, cfg)) +
+                          " floats in " +
+                          std::to_string((krows + cfg.kc - 1) / cfg.kc) + " k-blocks"));
       }
     } else if (s.kind == StepKind::kLinear) {
       if (s.weight.rank() != 2 || s.weight.dim(0) != s.out_channels) {
@@ -439,7 +444,7 @@ PlanLint lint_plan(const ExecutionPlan& plan, const graph::ModuleGraph& g) {
                       "linear weight " + shape_str(s.weight.shape()) + " does not have " +
                           std::to_string(s.out_channels) + " output rows"));
       }
-      if (s.prepacked && s.packed_in.finite) {
+      if (s.packed_in.finite) {
         if (s.packed_in.depth != s.weight.dim(1) || s.packed_in.cols != s.out_channels) {
           lint.add(diag(PlanDiagCode::kPanelShape, idx, graph::kNoNode,
                         "packed linear panels are [K=" + std::to_string(s.packed_in.depth) +

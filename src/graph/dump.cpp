@@ -4,11 +4,8 @@
 #include <sstream>
 
 namespace capr::graph {
-namespace {
 
-/// Minimal JSON string escaping; names here are identifiers, but a
-/// custom layer name could contain anything.
-std::string escape(const std::string& s) {
+std::string json_escape(const std::string& s) {
   std::string out;
   out.reserve(s.size());
   for (char c : s) {
@@ -29,6 +26,8 @@ std::string escape(const std::string& s) {
   }
   return out;
 }
+
+namespace {
 
 void shape_json(std::ostringstream& os, const Shape& s) {
   os << '[';
@@ -63,7 +62,7 @@ std::string to_json(const ModuleGraph& g, const std::string& arch) {
   std::ostringstream os;
   os << "{\n";
   os << "  \"schema\": \"capr-module-graph-v1\",\n";
-  os << "  \"arch\": \"" << escape(arch) << "\",\n";
+  os << "  \"arch\": \"" << json_escape(arch) << "\",\n";
   os << "  \"input_shape\": ";
   shape_json(os, g.input_shape());
   os << ",\n  \"output_shape\": ";
@@ -72,8 +71,8 @@ std::string to_json(const ModuleGraph& g, const std::string& arch) {
   const auto& nodes = g.nodes();
   for (size_t i = 0; i < nodes.size(); ++i) {
     const Node& n = nodes[i];
-    os << "    {\"id\": " << n.id << ", \"path\": \"" << escape(n.path) << "\", \"kind\": \""
-       << to_string(n.kind) << "\", \"name\": \"" << escape(n.name) << "\", \"in\": ";
+    os << "    {\"id\": " << n.id << ", \"path\": \"" << json_escape(n.path) << "\", \"kind\": \""
+       << to_string(n.kind) << "\", \"name\": \"" << json_escape(n.name) << "\", \"in\": ";
     shape_json(os, n.in_shape);
     os << ", \"out\": ";
     shape_json(os, n.out_shape);
@@ -96,7 +95,7 @@ std::string to_json(const ModuleGraph& g, const std::string& arch) {
   const auto& groups = g.groups();
   for (size_t i = 0; i < groups.size(); ++i) {
     const CouplingGroup& grp = groups[i];
-    os << "    {\"name\": \"" << escape(grp.name) << "\", \"producer\": " << grp.producer
+    os << "    {\"name\": \"" << json_escape(grp.name) << "\", \"producer\": " << grp.producer
        << ", \"bn\": " << grp.bn << ", \"score_point\": " << grp.score_point
        << ", \"residual_constrained\": " << (grp.residual_constrained ? "true" : "false")
        << ", \"consumers\": [";
@@ -111,8 +110,8 @@ std::string to_json(const ModuleGraph& g, const std::string& arch) {
   if (!g.ok()) {
     const GraphError& e = *g.error();
     os << ",\n  \"error\": {\"code\": \"" << error_code(e.code) << "\", \"node\": " << e.node
-       << ", \"path\": \"" << escape(e.path) << "\", \"kind\": \"" << escape(e.kind)
-       << "\", \"message\": \"" << escape(e.message) << "\"}";
+       << ", \"path\": \"" << json_escape(e.path) << "\", \"kind\": \"" << json_escape(e.kind)
+       << "\", \"message\": \"" << json_escape(e.message) << "\"}";
   }
   os << "\n}\n";
   return os.str();
@@ -121,7 +120,7 @@ std::string to_json(const ModuleGraph& g, const std::string& arch) {
 std::string to_dot(const ModuleGraph& g, const std::string& arch) {
   std::ostringstream os;
   os << "digraph capr_module_graph {\n";
-  if (!arch.empty()) os << "  label=\"" << escape(arch) << "\";\n";
+  if (!arch.empty()) os << "  label=\"" << json_escape(arch) << "\";\n";
   os << "  rankdir=TB;\n  node [shape=box, fontname=\"monospace\"];\n";
   // Producer highlighting from the coupling groups.
   std::vector<int> role(g.nodes().size(), 0);  // 1 = prunable, 2 = constrained
@@ -131,8 +130,8 @@ std::string to_dot(const ModuleGraph& g, const std::string& arch) {
     role[static_cast<size_t>(grp.producer)] = prunable ? 1 : 2;
   }
   for (const Node& n : g.nodes()) {
-    os << "  n" << n.id << " [label=\"" << escape(n.path) << ": " << to_string(n.kind);
-    if (!n.name.empty()) os << "\\n" << escape(n.name);
+    os << "  n" << n.id << " [label=\"" << json_escape(n.path) << ": " << to_string(n.kind);
+    if (!n.name.empty()) os << "\\n" << json_escape(n.name);
     os << "\\n" << capr::to_string(n.in_shape) << " -> " << capr::to_string(n.out_shape)
        << "\"";
     if (role[static_cast<size_t>(n.id)] == 1) {

@@ -17,8 +17,12 @@
 
 namespace capr::graph {
 
+/// `s` escaped as the body of a JSON string (quote, backslash, control
+/// characters); a custom layer name or arch label could hold anything.
+std::string json_escape(const std::string& s);
+
 /// Pretty-printed JSON, trailing newline included. `arch` is recorded
-/// verbatim in the document ("" when unknown). Ill-formed graphs dump
+/// as a JSON-escaped string ("" when unknown). Ill-formed graphs dump
 /// their partial node list plus an "error" object.
 std::string to_json(const ModuleGraph& g, const std::string& arch = "");
 

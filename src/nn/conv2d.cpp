@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "tensor/gemm.h"
 #include "tensor/gemm_tiled.h"
 #include "tensor/ops.h"
 #include "tensor/parallel.h"
@@ -82,55 +81,28 @@ Tensor Conv2d::compute_forward(const Tensor& input, ScratchArena& arena) const {
   }
   const int64_t n = input.dim(0), h = input.dim(2), w = input.dim(3);
   const ConvGeom g = geom_for(h, w);
-  const int64_t oh = g.out_h(), ow = g.out_w();
   const int64_t cols = g.col_cols();
   const int64_t krows = g.col_rows();
 
-  Tensor out({n, out_channels_, oh, ow});
-  const Tensor wmat = filter_matrix();
+  Tensor out({n, out_channels_, g.out_h(), g.out_w()});
+  const float* wmat = weight_.value.data();  // the [Cout, krows] filter matrix, row-major
+  // The filter matrix is packed once per call, for the config the GEMM
+  // resolves on this shape; each image then runs the compiled plan's conv
+  // step body (conv_image), the bias fused into its write-back.
+  const PackedA packed =
+      pack_a_full(wmat, out_channels_, krows,
+                  resolve_gemm_config(GemmVariant::kNN, out_channels_, krows, cols));
+  const DirectConv map = direct_conv_eligible(g) ? direct_conv_map(g) : DirectConv{};
+  GemmEpilogue ep;
+  ep.bias_row = has_bias_ ? bias_.value.data() : nullptr;
   const int workers = std::max(1, std::min<int>(num_threads(), static_cast<int>(n)));
-  // Arena buffers (slot 0: column matrix, slot 1: direct planes, plus
-  // GEMM packing) persist across calls, so the steady-state batch loop
-  // allocates nothing.
+  // Arena buffers (slot 0: planes or panels, slot 1: the fallback column
+  // matrix) persist across calls, so the steady-state batch loop
+  // allocates no arena memory.
   arena.prepare(workers);
-  const bool tiled = gemm_kernel() == GemmKernel::kTiled;
-  // Eligible geometries read B straight from padded planes through an
-  // offset map (im2col.h, "Direct convolution"); the rest lower through
-  // im2col_packed. Both give gemm_tiled's bits.
-  const DirectConv map = tiled && direct_conv_eligible(g) ? direct_conv_map(g) : DirectConv{};
-  const bool direct = map.run != 0;
   parallel_for(0, n, [&](int tid, int64_t i) {
-    const float* image = input.data() + i * in_channels_ * h * w;
-    float* obase = out.data() + i * out_channels_ * cols;
-    GemmScratch& gs = arena.gemm(tid);
-    // Tiled: lower straight into the B operand gemm_tiled would pack,
-    // and skip its pack_b. Non-finite values take the per-call path
-    // below, whose pack_b scan routes them to the strong-zero reference
-    // kernel.
-    bool finite = false;
-    if (direct) {
-      float* planes = arena.floats(tid, 1, direct_plane_floats(g));
-      finite = fill_direct_planes(image, g, planes);
-      if (finite) gemm_tiled_direct(wmat.data(), planes, map, obase, out_channels_, &gs);
-    } else if (tiled) {
-      gs.bpack.resize(static_cast<size_t>(packed_b_floats(krows, cols)));
-      finite = im2col_packed(image, g, gs.bpack.data());
-      if (finite) {
-        gemm_tiled_panels(wmat.data(), gs.bpack.data(), obase, out_channels_, krows, cols, &gs);
-      }
-    }
-    if (!finite) {
-      float* col = arena.floats(tid, 0, krows * cols);
-      im2col(image, g, col);
-      gemm_auto(wmat.data(), col, obase, out_channels_, krows, cols, /*accumulate=*/false, &gs);
-    }
-    if (has_bias_) {
-      for (int64_t c = 0; c < out_channels_; ++c) {
-        const float b = bias_.value[c];
-        float* row = obase + c * cols;
-        for (int64_t j = 0; j < cols; ++j) row[j] += b;
-      }
-    }
+    conv_image(packed, wmat, input.data() + i * in_channels_ * h * w, g, map, arena, tid,
+               out.data() + i * out_channels_ * cols, ep);
   });
   return out;
 }

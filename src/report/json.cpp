@@ -107,7 +107,7 @@ std::string JsonValue::dump() const {
       return os.str();
     }
     case Kind::kString:
-      return "\"" + json_escape(str_) + "\"";
+      return std::string("\"").append(json_escape(str_)).append("\"");
     case Kind::kArray: {
       std::string out = "[";
       for (size_t i = 0; i < arr_.size(); ++i) {
@@ -120,7 +120,8 @@ std::string JsonValue::dump() const {
       std::string out = "{";
       for (size_t i = 0; i < obj_.size(); ++i) {
         if (i) out += ',';
-        out += "\"" + json_escape(obj_[i].first) + "\":" + obj_[i].second.dump();
+        out.append("\"").append(json_escape(obj_[i].first)).append("\":");
+        out += obj_[i].second.dump();
       }
       return out + "}";
     }

@@ -96,9 +96,10 @@ static_assert(NR * sizeof(float) == 64, "vnr must span one packed panel row");
 #endif
 
 // ---------------------------------------------------------------------------
-// B row sources. The micro-kernel and the drivers below take the B
-// operand as a policy: a Source hands run_mblock the Rows of panel p
-// from k-block offset k0, and Rows::load(k, v) fills the NR lanes of row
+// B row sources. The micro-kernel and the pre-packed driver below take
+// the B operand as a policy: a Source hands run_mblock_packed the Rows
+// of panel p from k-block offset k0 (the per-call run_mblock reads
+// panels only), and Rows::load(k, v) fills the NR lanes of row
 // k into v. Everything else (blocking, k-block order, MR/NR tails, the
 // epilogue, split-M) is shared, so each C element keeps its one
 // k-ascending chain whichever source feeds it.
@@ -325,11 +326,9 @@ bool has_epilogue(const GemmEpilogue& ep) {
 /// The per-element accumulation order (k ascending, C pre-loaded) is
 /// identical no matter which worker runs the block or how cfg slices
 /// it. The optional epilogue fires per tile after the final k-block.
-template <typename Src>
 void run_mblock(const float* a, float* c, int64_t M, int64_t K, int64_t N, bool accumulate,
-                const Operands& op, const Src& src, int64_t mb, const GemmEpilogue& ep,
-                const GemmTuneConfig& cfg, MicroFn<typename Src::Rows> micro,
-                std::vector<float>& apack) {
+                const Operands& op, const PanelSource& src, int64_t mb, const GemmEpilogue& ep,
+                const GemmTuneConfig& cfg, MicroFn<PanelRows> micro, std::vector<float>& apack) {
   const int64_t i0 = mb * cfg.mc;
   const int64_t mc = std::min(cfg.mc, M - i0);
   const int64_t strips = (mc + cfg.mr - 1) / cfg.mr;
@@ -343,7 +342,7 @@ void run_mblock(const float* a, float* c, int64_t M, int64_t K, int64_t N, bool 
     for (int64_t p = 0; p < panels; ++p) {
       const int64_t j0 = p * NR;
       const int64_t nr = std::min(NR, N - j0);
-      const typename Src::Rows rows = src.rows(p, k0);
+      const PanelRows rows = src.rows(p, k0);
       for (int64_t s = 0; s < strips; ++s) {
         const int64_t i = i0 + s * cfg.mr;
         const int64_t mr = std::min(cfg.mr, i0 + mc - i);
@@ -364,10 +363,9 @@ bool splits_rows(GemmParallel strat, int64_t mblocks) {
 }
 
 /// Run half of the per-call kernels: c (+)= A * B (+ epilogue) with B
-/// read through `src` (packed panels or a direct-conv offset map). A is
-/// packed per call into `s`; B is only read, so it may live in s.bpack.
-template <typename Src>
-void run_packed_b(GemmVariant variant, const float* a, const Src& src, float* c, int64_t M,
+/// in packed panels. A is packed per call into `s`; B is only read, so
+/// it may live in s.bpack.
+void run_packed_b(GemmVariant variant, const float* a, const PanelSource& src, float* c, int64_t M,
                   int64_t K, int64_t N, bool accumulate, GemmScratch& s, const Operands& op,
                   const GemmEpilogue& ep = {}) {
   if (M <= 0 || N <= 0) return;
@@ -377,7 +375,7 @@ void run_packed_b(GemmVariant variant, const float* a, const Src& src, float* c,
     return;
   }
   const GemmTuneConfig cfg = resolve_gemm_config(variant, M, K, N);
-  const auto micro = micro_for<typename Src::Rows>(cfg.mr);
+  const auto micro = micro_for<PanelRows>(cfg.mr);
   const int64_t mblocks = (M + cfg.mc - 1) / cfg.mc;
   if (!splits_rows(cfg.strategy, mblocks)) {
     for (int64_t mb = 0; mb < mblocks; ++mb) {
@@ -577,14 +575,33 @@ void gemm_tiled_packed_direct(const PackedA& a, const float* planes, const Direc
                   [&](const auto& src) { run_prepacked(a, src, c, map.cols(), ep); });
 }
 
-void gemm_tiled_direct(const float* a, const float* planes, const DirectConv& map, float* c,
-                       int64_t M, GemmScratch* scratch) {
-  GemmScratch local;
-  const int64_t K = map.rows();
-  with_run_source(map, planes, [&](const auto& src) {
-    run_packed_b(GemmVariant::kNN, a, src, c, M, K, map.cols(), /*accumulate=*/false,
-                 scratch != nullptr ? *scratch : local, Operands{K, 1, 0, 0});
-  });
+void conv_image(const PackedA& w, const float* wmat, const float* image, const ConvGeom& g,
+                const DirectConv& map, ScratchArena& arena, int tid, float* out,
+                const GemmEpilogue& ep) {
+  const int64_t K = g.col_rows();
+  const int64_t N = g.col_cols();
+  if (gemm_kernel() == GemmKernel::kTiled) {
+    if (map.run != 0) {
+      float* planes = arena.floats(tid, 0, direct_plane_floats(g));
+      if (fill_direct_planes(image, g, planes)) {
+        gemm_tiled_packed_direct(w, planes, map, out, ep);
+        return;
+      }
+    } else {
+      float* panels = arena.floats(tid, 0, packed_b_floats(K, N));
+      if (im2col_packed(image, g, panels)) {
+        gemm_tiled_packed(w, panels, out, N, ep);
+        return;
+      }
+    }
+  }
+  // The reference kernel, or a non-finite value some tap reads: the
+  // strong-zero product, the condition under which pack_b would send
+  // gemm_tiled there too.
+  float* col = arena.floats(tid, 1, K * N);
+  im2col(image, g, col);
+  gemm(wmat, col, out, w.rows, K, N, /*accumulate=*/false);
+  if (has_epilogue(ep)) apply_epilogue_tile(out, N, w.rows, N, 0, 0, ep);
 }
 
 void gemm_tiled_packed_nt(const float* a, const PackedB& b, float* c, int64_t M,
@@ -595,13 +612,6 @@ void gemm_tiled_packed_nt(const float* a, const PackedB& b, float* c, int64_t M,
   run_packed_b(GemmVariant::kNT, a, PanelSource{b.panels.data(), b.depth}, c, M, b.depth, b.cols,
                /*accumulate=*/false,
                scratch != nullptr ? *scratch : local, Operands{b.depth, 1, 0, 0}, ep);
-}
-
-void gemm_tiled_panels(const float* a, const float* bpanels, float* c, int64_t M, int64_t K,
-                       int64_t N, GemmScratch* scratch) {
-  GemmScratch local;
-  run_packed_b(GemmVariant::kNN, a, PanelSource{bpanels, K}, c, M, K, N, /*accumulate=*/false,
-               scratch != nullptr ? *scratch : local, Operands{K, 1, N, 1});
 }
 
 GemmKernel gemm_kernel() { return g_kernel.load(std::memory_order_relaxed); }

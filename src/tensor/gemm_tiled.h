@@ -91,21 +91,19 @@ void gemm_tn_auto(const float* a, const float* b, float* c, int64_t M, int64_t K
 // matrix is written directly in panel layout (im2col_packed) so the B
 // pack pass disappears from the hot loop entirely.
 //
-// The interpreter's conv forward (nn::Conv2d, which training, scoring
-// and evaluation run) takes the B half of that: im2col_packed writes
-// straight into the worker's GemmScratch::bpack and gemm_tiled_panels
-// runs the NN product without pack_b, packing A per call exactly as
-// gemm_tiled does. When im2col_packed reports a non-finite value the
-// conv falls back to im2col + gemm_auto, which re-scans in pack_b and
-// takes the strong-zero reference kernel.
-//
-// Direct conv (gemm_tiled_packed_direct / gemm_tiled_direct) goes one
-// step further for the geometries direct_conv_eligible accepts: no
-// panels at all. The micro-kernel's B row source is a template policy —
-// a packed-panel pointer, or 1, 2 or 4 contiguous runs at base + off[k]
-// into the padded planes fill_direct_planes wrote — under the same
-// drivers, so blocking, split-M, MR tails and the fused epilogue are
-// shared code and the bits are the panel path's.
+// A conv step is one call per image of conv_image below, from both the
+// compiled plan (compile::exec_conv, the step's PackedA) and the
+// interpreter's conv forward (nn::Conv2d, which training, scoring and
+// evaluation run, and which packs its filter matrix once per call).
+// Geometries direct_conv_eligible accepts write no panels at all:
+// gemm_tiled_packed_direct reads B through an offset map over the padded
+// planes fill_direct_planes wrote. The micro-kernel's B row source is a
+// template policy (a packed-panel pointer, or 1, 2 or 4 contiguous runs
+// at base + off[k]) under the same drivers, so blocking, split-M, MR
+// tails and the fused epilogue are shared code and the bits are the
+// panel path's. Other geometries write im2col_packed panels. A
+// non-finite value some tap reads sends the image to im2col + the
+// strong-zero reference gemm.
 //
 // Bitwise contract: the packed kernels feed the exact same micro-kernel
 // with the exact same strip/panel contents and k-ascending block order
@@ -196,16 +194,7 @@ struct GemmEpilogue {
 void gemm_tiled_packed(const PackedA& a, const float* bpanels, float* c, int64_t N,
                        const GemmEpilogue& ep = {});
 
-/// c[M, N] = a[M, K] * B with B already in the pack_b panel layout for
-/// [K, N] (e.g. from im2col_packed): gemm_tiled minus its pack_b pass,
-/// so the same resolved config, strategy and micro-kernel calls, and a
-/// bitwise-identical result. A is packed per call into `scratch`, whose
-/// bpack may hold `bpanels` itself. Only call when the panel values are
-/// known finite; otherwise take gemm_auto on the unpacked operand.
-void gemm_tiled_panels(const float* a, const float* bpanels, float* c, int64_t M, int64_t K,
-                       int64_t N, GemmScratch* scratch = nullptr);
-
-/// Direct conv, the serving half: c[M, N] = A * B (+ epilogue) where B
+/// Direct conv: c[M, N] = A * B (+ epilogue) where B
 /// is the column matrix of an eligible conv read through `map` over the
 /// planes fill_direct_planes wrote (im2col.h, "Direct convolution").
 /// N = map.cols(), and A.depth must equal map.rows(). Same config, block
@@ -215,12 +204,20 @@ void gemm_tiled_panels(const float* a, const float* bpanels, float* c, int64_t M
 void gemm_tiled_packed_direct(const PackedA& a, const float* planes, const DirectConv& map,
                               float* c, const GemmEpilogue& ep = {});
 
-/// Direct conv with A packed per call: c[M, N] = a[M, K] * B, K =
-/// map.rows(), N = map.cols(). Bitwise identical to gemm_tiled_panels
-/// on im2col_packed's panels (and so to gemm_tiled on im2col). Only call
-/// when fill_direct_planes returned true.
-void gemm_tiled_direct(const float* a, const float* planes, const DirectConv& map, float* c,
-                       int64_t M, GemmScratch* scratch = nullptr);
+/// One image of a conv: out[M, Hout*Wout] = W * im2col(image) (+ `ep`),
+/// M = w.rows. `w` is pack_a_full of the row-major filter matrix `wmat`
+/// [M, g.col_rows()]; `map` is direct_conv_map(g), or empty for the
+/// panel lowering. Under the tiled kernel it runs fill_direct_planes +
+/// gemm_tiled_packed_direct (a map) or im2col_packed + gemm_tiled_packed
+/// (no map), with B in worker `tid`'s arena slot 0. Under the reference
+/// kernel, or when a value some tap reads is non-finite, it runs im2col
+/// (slot 1) + the strong-zero gemm on `wmat`, then `ep` over the whole
+/// output. Either way the bits are gemm_tiled's (or gemm's) followed by
+/// the bias and activation loops. Call from inside the parallel region
+/// after arena.prepare().
+void conv_image(const PackedA& w, const float* wmat, const float* image, const ConvGeom& g,
+                const DirectConv& map, ScratchArena& arena, int tid, float* out,
+                const GemmEpilogue& ep = {});
 
 /// c[M, N] = a[M, K] * B^T (+ epilogue) with B pre-packed by pack_b_nt.
 /// A is packed per call into `scratch` (pass one per thread). Only call

@@ -50,9 +50,9 @@ void im2col(const float* im, const ConvGeom& g, float* col);
 /// packed_b_floats(col_rows(), col_cols()) floats.
 ///
 /// Returns false iff some column value is non-finite — the exact
-/// predicate pack_b evaluates on im2col(im), so the compiled plan, the
-/// tiled Conv2d forward and the per-call kernels take the strong-zero
-/// reference fallback under identical conditions. An input element the
+/// predicate pack_b evaluates on im2col(im), so conv_image (the conv
+/// step of compiled plans and Conv2d) and the per-call kernels take the
+/// strong-zero reference fallback under identical conditions. An input element the
 /// windows never read (a stride that skips rows or columns) is in no
 /// column and never counts. When every element is read the predicate is
 /// one scan of the input; otherwise it is checked during the gather.

@@ -106,26 +106,35 @@ std::string geom_string(const ConvGeom& g) {
   return os.str();
 }
 
+/// A NaN bit pattern no written float may keep: buffers are pre-filled
+/// with it to prove every float is written.
+constexpr uint32_t kFill = 0xFFC0DEADu;
+
+/// Half the time plants a NaN, +-Inf or -0.0 at a random position of
+/// `im`. Returns the planted value (0 when none); `planted` describes it
+/// ("none", or "value@index").
+float plant_special(Rng& rng, Tensor& im, std::string& planted) {
+  constexpr float kSpecials[] = {std::numeric_limits<float>::quiet_NaN(),
+                                 std::numeric_limits<float>::infinity(),
+                                 -std::numeric_limits<float>::infinity(), -0.0f};
+  planted = "none";
+  if (rng.uniform() >= 0.5f) return 0.0f;
+  const int64_t at = rng.uniform_int(im.numel());
+  im[at] = kSpecials[rng.uniform_int(4)];
+  planted = std::to_string(im[at]) + "@" + std::to_string(at);
+  return im[at];
+}
+
 /// One im2col_packed config: a wider random geometry, half the time
 /// with a NaN, +-Inf or -0.0 planted at a random input position (read
 /// by the windows or not). The panels must equal the pack_b layout of
 /// ref_im2col byte for byte, tail padding included, and the return value
 /// must equal "some column value is non-finite".
 void check_im2col_packed(Rng& rng, SweepResult& r) {
-  constexpr float kSpecials[] = {std::numeric_limits<float>::quiet_NaN(),
-                                 std::numeric_limits<float>::infinity(),
-                                 -std::numeric_limits<float>::infinity(), -0.0f};
-  // A NaN bit pattern no lane may keep: every panel float must be
-  // written.
-  constexpr uint32_t kFill = 0xFFC0DEADu;
   const ConvGeom g = random_panel_geom(rng);
   Tensor im = random(rng, {g.in_channels, g.in_h, g.in_w});
-  std::string planted = "none";
-  if (rng.uniform() < 0.5f) {
-    const int64_t at = rng.uniform_int(im.numel());
-    im[at] = kSpecials[rng.uniform_int(4)];
-    planted = std::to_string(im[at]) + "@" + std::to_string(at);
-  }
+  std::string planted;
+  plant_special(rng, im, planted);
   const std::string config = geom_string(g) + " planted=" + planted;
 
   const int64_t K = g.col_rows();
@@ -152,6 +161,78 @@ void check_im2col_packed(Rng& rng, SweepResult& r) {
                         (want_finite ? "true" : "false");
     }
   }
+}
+
+/// Which conv_image cases sweep_direct_conv reached (checked at its end).
+struct ConvImageCoverage {
+  int64_t geometries = 0;
+  bool direct = false, panels_eligible = false, panels_ineligible = false;
+  bool fallback_bias = false, reference_bias = false, no_epilogue = false, act[3] = {};
+};
+
+/// One conv_image geometry, checked byte for byte under both kernels
+/// with and without the offset map (only without when `g` is
+/// ineligible) against an independent path: gemm_tiled(W,
+/// ref_im2col(im)), which packs W per call, under the tiled kernel when
+/// every column value is finite, the strong-zero gemm otherwise; then
+/// plain bias and activation loops. W has one all-zero row (a pruned
+/// filter), so a non-finite value that skipped the strong-zero fallback
+/// shows in the output.
+void check_conv_image(Rng& rng, const ConvGeom& g, const Tensor& im, int64_t M,
+                      ScratchArena& arena, const std::string& config, SweepResult& r,
+                      ConvImageCoverage& cov) {
+  const int64_t K = g.col_rows();
+  const int64_t N = g.col_cols();
+  Tensor w = random(rng, {M, K});
+  const int64_t pruned = rng.uniform_int(M);
+  for (int64_t k = 0; k < K; ++k) w[pruned * K + k] = 0.0f;
+  const PackedA pa = pack_a_full(w.data(), M, K, resolve_gemm_config(GemmVariant::kNN, M, K, N));
+  const Tensor bias = random(rng, {M});
+  const int64_t shape = rng.uniform_int(4);  // none, bias, activation, both
+  GemmEpilogue ep;
+  if (shape & 1) ep.bias_row = bias.data();
+  if (shape & 2) ep.act = 1 + rng.uniform_int(2);
+  ep.alpha = 0.1f;
+  const Tensor col = ref_im2col(im, g);
+  bool finite = true;
+  for (int64_t i = 0; i < col.numel(); ++i) finite = finite && std::isfinite(col[i]);
+  const DirectConv none;
+  const DirectConv map = direct_conv_eligible(g) ? direct_conv_map(g) : DirectConv{};
+  for (const GemmKernel kernel : {GemmKernel::kReference, GemmKernel::kTiled}) {
+    const GemmKernelScope scope(kernel);
+    const bool tiled = kernel == GemmKernel::kTiled;
+    Tensor want({M, N});
+    if (tiled && finite) {
+      gemm_tiled(w.data(), col.data(), want.data(), M, K, N);
+    } else {
+      gemm(w.data(), col.data(), want.data(), M, K, N);
+    }
+    for (int64_t i = 0; ep.bias_row != nullptr && i < M; ++i) {
+      for (int64_t j = 0; j < N; ++j) want[i * N + j] += ep.bias_row[i];
+    }
+    for (int64_t i = 0; i < want.numel(); ++i) {
+      if (ep.act == 1) want[i] = want[i] > 0.0f ? want[i] : 0.0f;
+      if (ep.act == 2) want[i] = want[i] > 0.0f ? want[i] : ep.alpha * want[i];
+    }
+    for (const DirectConv* m : {&none, &map}) {
+      if (m == &map && map.run == 0) break;  // ineligible: `none` was the only map
+      Tensor got({M, N});
+      for (int64_t i = 0; i < got.numel(); ++i) std::memcpy(got.data() + i, &kFill, sizeof(float));
+      conv_image(pa, w.data(), im.data(), g, *m, arena, 0, got.data(), ep);
+      record(r, bitwise_report(got, want), "conv_image",
+             config + " kernel=" + to_string(kernel) + " map=" + (m->run != 0 ? "direct" : "none") +
+                 " epilogue=" + std::to_string(shape) + " act=" + std::to_string(ep.act));
+      if (tiled && finite) {
+        (m->run != 0 ? cov.direct
+                     : map.run != 0 ? cov.panels_eligible : cov.panels_ineligible) = true;
+      }
+    }
+    (tiled ? cov.fallback_bias : cov.reference_bias) |=
+        (!tiled || !finite) && ep.bias_row != nullptr;
+  }
+  cov.no_epilogue = cov.no_epilogue || shape == 0;
+  cov.act[ep.act] = true;
+  ++cov.geometries;
 }
 
 /// A random conv geometry direct_conv_eligible accepts, built from its
@@ -346,10 +427,6 @@ SweepResult sweep_im2col(const SweepOptions& opts) {
 }
 
 SweepResult sweep_direct_conv(const SweepOptions& opts) {
-  constexpr float kSpecials[] = {std::numeric_limits<float>::quiet_NaN(),
-                                 std::numeric_limits<float>::infinity(),
-                                 -std::numeric_limits<float>::infinity(), -0.0f};
-  constexpr uint32_t kFill = 0xFFC0DEADu;  // a NaN no plane float may keep
   // Pinned so the large shapes split their row blocks across workers.
   const ThreadScope threads(2);
   Rng rng(opts.seed);
@@ -362,6 +439,9 @@ SweepResult sweep_direct_conv(const SweepOptions& opts) {
   bool runs[3] = {}, strides[3] = {}, pads[3] = {};
   bool one_by_one = false, mblocks = false, kblocks = false, mr_tail = false, split = false;
   bool read_bad = false, unread_bad = false, neg_zero = false;
+  ConvImageCoverage cov;
+  ScratchArena arena;
+  arena.prepare(1);
   for (int cfg = 0; cfg < opts.configs; ++cfg) {
     const bool big = cfg % 10 == 9;
     const ConvGeom g = random_direct_geom(rng, big);
@@ -369,14 +449,8 @@ SweepResult sweep_direct_conv(const SweepOptions& opts) {
     const int64_t K = g.col_rows();
     const int64_t N = g.col_cols();
     Tensor im = random(rng, {g.in_channels, g.in_h, g.in_w});
-    std::string planted = "none";
-    float special = 0.0f;
-    if (rng.uniform() < 0.5f) {
-      const int64_t at = rng.uniform_int(im.numel());
-      special = kSpecials[rng.uniform_int(4)];
-      im[at] = special;
-      planted = std::to_string(im[at]) + "@" + std::to_string(at);
-    }
+    std::string planted;
+    const float special = plant_special(rng, im, planted);
     std::ostringstream cs;
     cs << geom_string(g) << " M=" << M << " planted=" << planted;
     const std::string config = cs.str();
@@ -384,8 +458,6 @@ SweepResult sweep_direct_conv(const SweepOptions& opts) {
       fail("sweep drew an ineligible geometry @ " + config);
       continue;
     }
-    const DirectConv map = direct_conv_map(g);
-
     const Tensor col = ref_im2col(im, g);
     bool want_finite = true;
     for (int64_t i = 0; i < col.numel(); ++i) want_finite = want_finite && std::isfinite(col[i]);
@@ -408,38 +480,29 @@ SweepResult sweep_direct_conv(const SweepOptions& opts) {
     if (!std::isfinite(special)) (want_finite ? unread_bad : read_bad) = true;
     neg_zero = neg_zero || (planted != "none" && special == 0.0f);
 
-    if (want_finite && planes_finite && panels_finite) {
-      const Tensor a = random(rng, {M, K});
+    if (want_finite) {
       const GemmTuneConfig gc = resolve_gemm_config(GemmVariant::kNN, M, K, N);
-      const PackedA pa = pack_a_full(a.data(), M, K, gc);
-      Tensor want({M, N}), got({M, N});
-      gemm_tiled_packed(pa, panels.data(), want.data(), N);
-      gemm_tiled_packed_direct(pa, planes.data(), map, got.data());
-      record(r, bitwise_report(got, want), "gemm_tiled_packed_direct", config);
-
-      const Tensor bias = random(rng, {M});
-      GemmEpilogue ep;
-      ep.bias_row = bias.data();
-      ep.act = 1 + rng.uniform_int(2);
-      ep.alpha = 0.1f;
-      gemm_tiled_packed(pa, panels.data(), want.data(), N, ep);
-      gemm_tiled_packed_direct(pa, planes.data(), map, got.data(), ep);
-      record(r, bitwise_report(got, want), "gemm_tiled_packed_direct(epilogue)", config);
-
-      GemmScratch sw, sg;
-      gemm_tiled_panels(a.data(), panels.data(), want.data(), M, K, N, &sw);
-      gemm_tiled_direct(a.data(), planes.data(), map, got.data(), M, &sg);
-      record(r, bitwise_report(got, want), "gemm_tiled_direct", config);
-
       mblocks = mblocks || M > gc.mc;
       kblocks = kblocks || K > gc.kc;
       mr_tail = mr_tail || M % gc.mr != 0;
       split = split || (gc.strategy == GemmParallel::kSplitM && M > gc.mc);
     }
-    runs[map.run == 16 ? 0 : map.run == 8 ? 1 : 2] = true;
+    const int64_t run = direct_conv_run(g);
+    runs[run == 16 ? 0 : run == 8 ? 1 : 2] = true;
     if (g.stride <= 3) strides[g.stride - 1] = true;
     if (g.padding <= 2) pads[g.padding] = true;
     one_by_one = one_by_one || (g.kernel_h == 1 && g.stride == 2 && g.padding == 0);
+    check_conv_image(rng, g, im, M, arena, config, r, cov);
+
+    // A wider, mostly ineligible geometry beside each eligible one.
+    const ConvGeom pg = random_panel_geom(rng);
+    Tensor pim = random(rng, {pg.in_channels, pg.in_h, pg.in_w});
+    std::string pplanted;
+    plant_special(rng, pim, pplanted);
+    const int64_t pm = 1 + rng.uniform_int(20);
+    check_conv_image(rng, pg, pim, pm, arena,
+                     geom_string(pg) + " M=" + std::to_string(pm) + " planted=" + pplanted, r,
+                     cov);
     ++r.configs_run;
   }
   const std::pair<bool, const char*> covered[] = {
@@ -454,6 +517,14 @@ SweepResult sweep_direct_conv(const SweepOptions& opts) {
       {read_bad, "a non-finite value some tap reads"},
       {unread_bad, "a non-finite value no tap reads"},
       {neg_zero, "a planted -0.0"},
+      {cov.geometries >= 2 * static_cast<int64_t>(opts.configs), "conv_image on every geometry"},
+      {cov.direct, "conv_image on the direct path"},
+      {cov.panels_eligible, "conv_image on panels for an eligible geometry"},
+      {cov.panels_ineligible, "conv_image on panels for an ineligible geometry"},
+      {cov.fallback_bias, "conv_image's non-finite fallback with a bias"},
+      {cov.reference_bias, "conv_image under the reference kernel with a bias"},
+      {cov.no_epilogue, "conv_image without an epilogue"},
+      {cov.act[0] && cov.act[1] && cov.act[2], "conv_image with no activation, ReLU and LeakyReLU"},
   };
   for (const auto& [hit, what] : covered) {
     if (!hit) fail(std::string("sweep_direct_conv never reached ") + what);

@@ -66,18 +66,24 @@ SweepResult sweep_gemm_tiled(const std::vector<GemmShape>& shapes,
 /// value must equal "some column value is non-finite".
 SweepResult sweep_im2col(const SweepOptions& opts = {});
 
-/// The direct-conv path (im2col.h, "Direct convolution") against the
-/// panel path, byte for byte, over random ELIGIBLE geometries: 1-, 2-
-/// and 4-run panels, strides 1-3, pads 0-2, kernels 1-5 (1x1 stride-2
-/// pad-0 included). Half the configs plant a NaN, +-Inf or -0.0 at a
-/// random input position; fill_direct_planes must return the verdict
-/// im2col_packed returns and ref_im2col implies, and must write every
-/// plane float. On finite inputs, gemm_tiled_packed_direct must equal
-/// gemm_tiled_packed on im2col_packed's panels with and without a fused
-/// epilogue, and gemm_tiled_direct must equal gemm_tiled_panels. Every
-/// tenth config is large: M > 72 (several row blocks, an MR tail), K >
-/// 256 (several k-blocks), at least 2^23 FLOPs (split-M at 2 threads).
-/// The sweep fails unless every one of those cases was reached.
+/// The conv step nn::Conv2d and compiled plans share (conv_image), and
+/// the direct-conv lowering under it (im2col.h, "Direct convolution"),
+/// over random ELIGIBLE geometries: 1-, 2- and 4-run panels, strides
+/// 1-3, pads 0-2, kernels 1-5 (1x1 stride-2 pad-0 included). Half the
+/// configs plant a NaN, +-Inf or -0.0 at a random input position;
+/// fill_direct_planes must return the verdict im2col_packed returns and
+/// ref_im2col implies, and must write every plane float. Every tenth
+/// config is large: M > 72 (several row blocks, an MR tail), K > 256
+/// (several k-blocks), at least 2^23 FLOPs (split-M at 2 threads).
+///
+/// conv_image runs on each config's geometry and on one wider, mostly
+/// ineligible im2col_packed geometry planted the same way: under both
+/// kernels, with and without the offset map, with no epilogue, a bias,
+/// an activation or both, and a filter matrix with one all-zero row. It
+/// must equal, byte for byte, gemm_tiled(W, ref_im2col(image)) (A packed
+/// per call) when the columns are finite under the tiled kernel, the
+/// strong-zero gemm otherwise, followed by plain bias and activation
+/// loops. The sweep fails unless every one of those cases was reached.
 SweepResult sweep_direct_conv(const SweepOptions& opts = {});
 
 /// Conv2d forward AND backward (input/weight/bias grads) against the

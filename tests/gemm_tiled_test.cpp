@@ -358,9 +358,6 @@ TEST(DirectConvTest, RunLoadsEndAtThePlaneBufferEnd) {
     gemm_tiled_packed(pa, panels.data(), want.data(), N);
     gemm_tiled_packed_direct(pa, planes.get(), map, got.data());
     EXPECT_TRUE(same_bits(want, got)) << "packed, run " << map.run;
-    gemm_tiled_panels(a.data(), panels.data(), want.data(), M, K, N);
-    gemm_tiled_direct(a.data(), planes.get(), map, got.data(), M);
-    EXPECT_TRUE(same_bits(want, got)) << "per-call A, run " << map.run;
   }
 }
 

@@ -32,13 +32,12 @@ models::BuildConfig small_cfg() {
   return cfg;
 }
 
-/// All passes off: steps correspond 1:1 to (non-dropout) graph nodes,
-/// which keeps each corruption surgical.
-CompileOptions no_passes() {
+/// BN fold off: every conv and BatchNorm keeps its own step (only the
+/// exact epilogue fusion merges steps), which keeps each corruption
+/// surgical.
+CompileOptions unfolded() {
   CompileOptions opts;
   opts.fold_batchnorm = false;
-  opts.fuse_epilogues = false;
-  opts.prepack_weights = false;
   return opts;
 }
 
@@ -57,6 +56,14 @@ Compiled compiled(const std::string& arch, const CompileOptions& opts) {
   return c;
 }
 
+/// The first conv step of `c` whose recorded lowering is `lowering`.
+Step* conv_with(Compiled& c, ConvLowering lowering) {
+  for (Step& s : PlanTestAccess::steps(c.plan)) {
+    if (s.kind == StepKind::kConv && s.lowering == lowering) return &s;
+  }
+  return nullptr;
+}
+
 // ---- healthy plans ---------------------------------------------------------
 
 TEST(PlanVerifierTest, AllGoldenArchsLintClean) {
@@ -64,7 +71,7 @@ TEST(PlanVerifierTest, AllGoldenArchsLintClean) {
                                           "vgg19",    "resnet20", "resnet32",
                                           "resnet44", "resnet56", "tiny"};
   for (const std::string& arch : archs) {
-    for (const CompileOptions& opts : {CompileOptions{}, no_passes()}) {
+    for (const CompileOptions& opts : {CompileOptions{}, unfolded()}) {
       Compiled c = compiled(arch, opts);
       const PlanLint lint = lint_plan(c.plan, c.graph);
       EXPECT_TRUE(lint.ok()) << arch << ":\n" << lint.to_string();
@@ -86,7 +93,7 @@ TEST(PlanVerifierTest, DropoutElisionLintsClean) {
   model.net->add(std::make_unique<nn::Linear>(4 * 8 * 8, 4));
 
   const graph::ModuleGraph g = graph::ModuleGraph::build(model);
-  const CompileResult result = compile(g, no_passes());
+  const CompileResult result = compile(g, unfolded());
   ASSERT_NE(result.plan, nullptr);
   ASSERT_EQ(result.plan->steps().size(), 3u);  // dropout elided
   const PlanLint lint = lint_plan(*result.plan, g);
@@ -96,7 +103,7 @@ TEST(PlanVerifierTest, DropoutElisionLintsClean) {
 // ---- corrupted-plan classes ------------------------------------------------
 
 TEST(PlanVerifierTest, UseBeforeDefIsRejected) {
-  Compiled c = compiled("tiny", no_passes());
+  Compiled c = compiled("tiny", unfolded());
   std::vector<Step>& steps = PlanTestAccess::steps(c.plan);
   ASSERT_GE(steps.size(), 2u);
   // An early step reads the slot only the final step writes.
@@ -107,7 +114,7 @@ TEST(PlanVerifierTest, UseBeforeDefIsRejected) {
 }
 
 TEST(PlanVerifierTest, MultiWriterIsRejected) {
-  Compiled c = compiled("tiny", no_passes());
+  Compiled c = compiled("tiny", unfolded());
   std::vector<Step>& steps = PlanTestAccess::steps(c.plan);
   ASSERT_GE(steps.size(), 2u);
   steps[1].out = steps[0].out;
@@ -117,7 +124,7 @@ TEST(PlanVerifierTest, MultiWriterIsRejected) {
 }
 
 TEST(PlanVerifierTest, BadAliasIsRejected) {
-  Compiled c = compiled("tiny", no_passes());
+  Compiled c = compiled("tiny", unfolded());
   std::vector<Step>& steps = PlanTestAccess::steps(c.plan);
   ASSERT_GE(steps.size(), 3u);
   // steps[2] consumes steps[1]'s output; retarget it onto steps[0]'s —
@@ -130,7 +137,7 @@ TEST(PlanVerifierTest, BadAliasIsRejected) {
 }
 
 TEST(PlanVerifierTest, ReorderedStepsAreRejected) {
-  Compiled c = compiled("tiny", no_passes());
+  Compiled c = compiled("tiny", unfolded());
   std::vector<Step>& steps = PlanTestAccess::steps(c.plan);
   ASSERT_GE(steps.size(), 2u);
   ASSERT_EQ(steps[1].in0, steps[0].out);  // adjacent dependent pair
@@ -141,7 +148,7 @@ TEST(PlanVerifierTest, ReorderedStepsAreRejected) {
 }
 
 TEST(PlanVerifierTest, UndersizedScratchIsRejected) {
-  Compiled c = compiled("tiny", CompileOptions{});  // prepacked convs
+  Compiled c = compiled("tiny", CompileOptions{});
   ASSERT_GT(c.plan.scratch_floats(), 0);
   PlanTestAccess::scratch_floats(c.plan) = c.plan.scratch_floats() - 1;
   const PlanLint lint = lint_plan(c.plan, c.graph);
@@ -154,10 +161,37 @@ TEST(PlanVerifierTest, WrongPanelShapeIsRejected) {
   std::vector<Step>& steps = PlanTestAccess::steps(c.plan);
   Step* conv = nullptr;
   for (Step& s : steps) {
-    if (s.kind == StepKind::kConv && s.prepacked) conv = &s;
+    if (s.kind == StepKind::kConv) conv = &s;
   }
   ASSERT_NE(conv, nullptr);
   conv->packed_w.depth += 1;  // strips no longer match the weight layout
+  const PlanLint lint = lint_plan(c.plan, c.graph);
+  ASSERT_FALSE(lint.ok());
+  EXPECT_TRUE(lint.has(PlanDiagCode::kPanelShape)) << lint.to_string();
+}
+
+// Every conv step runs on its strips, so a conv that lost them (or never
+// had them) is rejected rather than served.
+TEST(PlanVerifierTest, MissingConvStripsAreRejected) {
+  for (const ConvLowering lowering : {ConvLowering::kPanels, ConvLowering::kDirect}) {
+    Compiled c = compiled("vgg11", CompileOptions{});
+    Step* conv = conv_with(c, lowering);
+    ASSERT_NE(conv, nullptr) << "no " << to_string(lowering) << " conv in vgg11";
+    conv->packed_w = PackedA{};
+    const PlanLint lint = lint_plan(c.plan, c.graph);
+    ASSERT_FALSE(lint.ok()) << to_string(lowering);
+    EXPECT_TRUE(lint.has(PlanDiagCode::kPanelShape)) << lint.to_string();
+  }
+}
+
+// A panels conv with an offset map would take the direct path.
+TEST(PlanVerifierTest, OffsetMapOnAPanelsConvIsRejected) {
+  Compiled c = compiled("vgg11", CompileOptions{});
+  Step* panels = conv_with(c, ConvLowering::kPanels);
+  const Step* direct = conv_with(c, ConvLowering::kDirect);
+  ASSERT_NE(panels, nullptr);
+  ASSERT_NE(direct, nullptr);
+  panels->direct = direct->direct;
   const PlanLint lint = lint_plan(c.plan, c.graph);
   ASSERT_FALSE(lint.ok());
   EXPECT_TRUE(lint.has(PlanDiagCode::kPanelShape)) << lint.to_string();
@@ -168,21 +202,13 @@ TEST(PlanVerifierTest, WrongLinearPanelShapeIsRejected) {
   std::vector<Step>& steps = PlanTestAccess::steps(c.plan);
   Step* linear = nullptr;
   for (Step& s : steps) {
-    if (s.kind == StepKind::kLinear && s.prepacked && s.packed_in.finite) linear = &s;
+    if (s.kind == StepKind::kLinear && s.packed_in.finite) linear = &s;
   }
   ASSERT_NE(linear, nullptr);
   linear->packed_in.panels.resize(linear->packed_in.panels.size() - 1);
   const PlanLint lint = lint_plan(c.plan, c.graph);
   ASSERT_FALSE(lint.ok());
   EXPECT_TRUE(lint.has(PlanDiagCode::kPanelShape)) << lint.to_string();
-}
-
-/// The first conv step of `c` whose recorded lowering is `lowering`.
-Step* conv_with(Compiled& c, ConvLowering lowering) {
-  for (Step& s : PlanTestAccess::steps(c.plan)) {
-    if (s.kind == StepKind::kConv && s.lowering == lowering) return &s;
-  }
-  return nullptr;
 }
 
 // vgg11 at 8 px ends in 2x2 convs (4 columns: no direct lowering) after
@@ -240,7 +266,7 @@ TEST(PlanVerifierTest, ScratchDemandCountsThePlaneBuffer) {
 }
 
 TEST(PlanVerifierTest, SpuriousFallbackIsRejected) {
-  Compiled c = compiled("tiny", no_passes());
+  Compiled c = compiled("tiny", unfolded());
   std::vector<Step>& steps = PlanTestAccess::steps(c.plan);
   Step* conv = nullptr;
   for (Step& s : steps) {
@@ -258,7 +284,7 @@ TEST(PlanVerifierTest, SpuriousFallbackIsRejected) {
 // The converse direction: a node whose layer NEEDS the fallback (active
 // interventions, applied after compilation) must not be lowered natively.
 TEST(PlanVerifierTest, MissingFallbackIsRejected) {
-  Compiled c = compiled("tiny", no_passes());
+  Compiled c = compiled("tiny", unfolded());
   ASSERT_FALSE(c.model.units.empty());
   nn::Layer* point = c.model.units[0].score_point;
   ASSERT_NE(point, nullptr);
@@ -271,7 +297,7 @@ TEST(PlanVerifierTest, MissingFallbackIsRejected) {
 }
 
 TEST(PlanVerifierTest, BadOutputSlotIsRejected) {
-  Compiled c = compiled("tiny", no_passes());
+  Compiled c = compiled("tiny", unfolded());
   PlanTestAccess::output_slot(c.plan) = c.plan.slot_count() + 5;
   PlanLint lint = lint_plan(c.plan, c.graph);
   ASSERT_FALSE(lint.ok());
@@ -285,7 +311,7 @@ TEST(PlanVerifierTest, BadOutputSlotIsRejected) {
 }
 
 TEST(PlanVerifierTest, WrongOutShapeIsRejected) {
-  Compiled c = compiled("tiny", no_passes());
+  Compiled c = compiled("tiny", unfolded());
   std::vector<Step>& steps = PlanTestAccess::steps(c.plan);
   ASSERT_FALSE(steps.empty());
   ASSERT_FALSE(steps[0].out_shape.empty());
@@ -298,7 +324,7 @@ TEST(PlanVerifierTest, WrongOutShapeIsRejected) {
 // Deleting a step elides a node that is NOT an inference identity — the
 // aliasing-legality rule dropout elision relies on must reject it.
 TEST(PlanVerifierTest, ElidingANonIdentityNodeIsRejected) {
-  Compiled c = compiled("tiny", no_passes());
+  Compiled c = compiled("tiny", unfolded());
   std::vector<Step>& steps = PlanTestAccess::steps(c.plan);
   ASSERT_GE(steps.size(), 2u);
   steps.erase(steps.begin());
@@ -309,7 +335,7 @@ TEST(PlanVerifierTest, ElidingANonIdentityNodeIsRejected) {
 
 // Garbage node ids must become findings, never crashes.
 TEST(PlanVerifierTest, CorruptNodeIdsDoNotCrash) {
-  Compiled c = compiled("tiny", no_passes());
+  Compiled c = compiled("tiny", unfolded());
   std::vector<Step>& steps = PlanTestAccess::steps(c.plan);
   ASSERT_FALSE(steps.empty());
   steps[0].nodes = {graph::NodeId{9999}};

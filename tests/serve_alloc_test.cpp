@@ -84,16 +84,14 @@ TEST(ServeAllocTest, CompiledRunRefIsAllocationFreeAfterWarm) {
   }
 }
 
-// Same zero-alloc contract where a GEMM threads. Without pre-packed
-// weights a conv step runs gemm_tiled per image. At batch 1 that call is
-// outside any parallel region, so a conv of at least 2^23 FLOPs splits
-// its row blocks across workers. vgg11 (width 1.0) at 16 px has one:
-// its 128-channel conv is M=128, K=576, N=64, 2*M*K*N ~ 9.4M, in two
-// row blocks of MC=72. warm() at batch 4 runs those GEMMs serially
-// inside per-image workers, so only its reserve_gemm_scratch pass can
-// size the per-worker A packs the later batch-1 split needs. GemmScratch
-// vectors are outside float_alloc_count, so their capacities are
-// checked directly.
+// Same zero-alloc contract where a GEMM threads. At batch 1 a conv step's
+// image runs outside any parallel region, so a conv of at least 2^23
+// FLOPs splits its pre-packed row blocks across workers. vgg11 (width
+// 1.0) at 16 px has one: its 128-channel conv is M=128, K=576, N=64,
+// 2*M*K*N ~ 9.4M, in two row blocks of MC=72. warm() at batch 4 runs
+// those GEMMs serially inside per-image workers; the split reads only
+// the plan's strips and the worker's B operand, so no per-worker scratch
+// appears later either.
 TEST(ServeAllocTest, CompiledRunRefIsAllocationFreeThroughSplitMGemm) {
   GemmKernelScope kernel(GemmKernel::kTiled);
   set_num_threads(4);
@@ -104,18 +102,15 @@ TEST(ServeAllocTest, CompiledRunRefIsAllocationFreeThroughSplitMGemm) {
   const nn::Model model = models::make_model("vgg11", cfg);
   const graph::ModuleGraph g = graph::ModuleGraph::build(model);
   ASSERT_TRUE(g.ok());
-  compile::CompileOptions copts;
-  copts.prepack_weights = false;
-  const compile::CompileResult result = compile::compile(g, copts);
+  const compile::CompileResult result = compile::compile(g);
   ASSERT_NE(result.plan, nullptr);
   const compile::ExecutionPlan& plan = *result.plan;
 
   bool splits = false;
   for (const compile::Step& s : plan.steps()) {
     if (s.kind != compile::StepKind::kConv) continue;
-    const GemmTuneConfig c = resolve_gemm_config(GemmVariant::kNN, s.out_channels,
-                                                 s.geom.col_rows(), s.geom.col_cols());
-    splits = splits || (c.strategy == GemmParallel::kSplitM && s.out_channels > c.mc);
+    const PackedA& w = s.packed_w;
+    splits = splits || (w.cfg.strategy == GemmParallel::kSplitM && w.rows > w.cfg.mc);
   }
   ASSERT_TRUE(splits) << "no conv step splits its rows: the test reaches no parallel GEMM";
 
@@ -125,25 +120,15 @@ TEST(ServeAllocTest, CompiledRunRefIsAllocationFreeThroughSplitMGemm) {
   const Tensor single = random_batch(in, 1, 16);
   nn::InferScratch scratch;
   plan.warm(scratch, kMaxBatch);
-  ASSERT_GE(scratch.arena.gemm(0).wapack.size(), 2u) << "warm() reserved no per-worker A packs";
+  const int64_t resident = scratch.arena.resident_floats();
 
-  const auto capacities = [&] {
-    std::vector<size_t> out;
-    for (int t = 0; t < kMaxBatch; ++t) {
-      const GemmScratch& gs = scratch.arena.gemm(t);
-      out.insert(out.end(), {gs.apack.capacity(), gs.bpack.capacity(), gs.wapack.size()});
-      for (const std::vector<float>& w : gs.wapack) out.push_back(w.capacity());
-    }
-    return out;
-  };
-  const std::vector<size_t> warmed = capacities();
   const uint64_t before = float_alloc_count();
   for (int i = 0; i < 16; ++i) {
     plan.run_ref(single, scratch);
     plan.run_ref(full, scratch);
   }
   EXPECT_EQ(float_alloc_count(), before) << "steady state allocated through a split-M GEMM";
-  EXPECT_EQ(capacities(), warmed) << "GEMM scratch grew after warm()";
+  EXPECT_EQ(scratch.arena.resident_floats(), resident) << "arena grew after warm()";
   set_num_threads(0);
 }
 

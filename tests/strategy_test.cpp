@@ -11,7 +11,8 @@ ImportanceResult make_scores(std::vector<std::vector<float>> totals, int64_t num
   res.num_classes = num_classes;
   for (size_t u = 0; u < totals.size(); ++u) {
     UnitScores s;
-    s.unit_name = "u" + std::to_string(u);
+    s.unit_name = "u";
+    s.unit_name += std::to_string(u);
     s.unit_index = u;
     s.total = std::move(totals[u]);
     res.units.push_back(std::move(s));
